@@ -21,12 +21,14 @@ test:
 	$(GO) test ./...
 
 # fuzz is a short smoke over the hostile-input decoders: the scenario
-# JSON loader, the shard worker frame protocol (plus the chaos-spec
-# grammar), and the mobility trace-file parser. Ten seconds each is
+# JSON loader, the run-setting table that parses ezsim flags and campaign
+# axes, the shard worker frame protocol (plus the chaos-spec grammar),
+# and the mobility trace-file parser. Ten seconds each is
 # enough to catch decode panics in CI; crank FUZZTIME for a real soak.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/scenario
+	$(GO) test -run='^$$' -fuzz='^FuzzApply$$' -fuzztime=$(FUZZTIME) ./internal/scenario
 	$(GO) test -run='^$$' -fuzz='^FuzzWorkerFrames$$' -fuzztime=$(FUZZTIME) ./internal/campaign
 	$(GO) test -run='^$$' -fuzz='^FuzzParseChaos$$' -fuzztime=$(FUZZTIME) ./internal/campaign
 	$(GO) test -run='^$$' -fuzz='^FuzzParseMobilityTrace$$' -fuzztime=$(FUZZTIME) ./internal/mobility

@@ -79,7 +79,7 @@ func main() {
 	var (
 		seed       = flag.Int64("seed", 1, "random seed")
 		scale      = flag.Float64("scale", 0.25, "duration scale (1 = paper durations)")
-		which      = flag.String("exp", "", "comma-separated subset ("+experimentNames()+" or figure/table aliases); controllers runs the congestion-controller head-to-head over the registry ("+strings.Join(ezflow.Controllers(), "|")+")")
+		which      = flag.String("exp", "", "comma-separated subset ("+experimentNames()+" or figure/table aliases); controllers runs the congestion-controller head-to-head over the registry ("+ezflow.Controllers.List()+")")
 		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "max scenario runs in flight per experiment (results are identical for any value)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU pprof profile of the selected experiments to this file")
 		memprofile = flag.String("memprofile", "", "write an allocation pprof profile (after the run) to this file")

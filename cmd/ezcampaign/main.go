@@ -1,8 +1,8 @@
 // Command ezcampaign runs a declarative experiment campaign: the
-// cartesian product of swept parameters (topology, mode, rate, hops,
-// CW cap) with independently seeded replications per grid point, fanned
-// out across a worker pool, then aggregated into mean / std / 95% CI per
-// point and emitted through the chosen sinks.
+// cartesian product of swept parameters with independently seeded
+// replications per grid point, fanned out across a worker pool, then
+// aggregated into mean / std / 95% CI per point and emitted through the
+// chosen sinks.
 //
 // Usage:
 //
@@ -21,26 +21,31 @@
 //	           -reps 5
 //	ezcampaign -sweep hops=2..8 -reps 10 -cache -shards 4 -json out.json
 //
-// The controller axis sweeps the congestion-controller registry
-// (internal/ctl) head to head — any registered name plus 802.11 for the
-// raw baseline; it subsumes (and is mutually exclusive with) the mode
-// axis. `ezcampaign -h` enumerates the registered controllers.
-//
-// The routing axis sweeps the routing-strategy registry
-// (internal/routing) the same way: bfs (minimum hop count, the default),
-// etx (link-quality cost over the calibrated per-link losses), kshortest
-// (deterministic multipath spreading). Strategies other than bfs
-// recompute every route at wiring and drive route repair under dynamics.
-//
-// The fault-injection axes flap and churn (values 0|1) sever the first
-// flow's middle link, respectively halt its middle relay, from 40% to 50%
-// of each run, with BFS route repair; runs with faults additionally
-// report recovery time and post-fault tail queue statistics.
+// Sweep axes (`ezcampaign -h` lists each with its accepted values,
+// generated from the scenario setting table that also parses ezsim's
+// flags): topology; hops (chain length, and the side of a grid, clamped
+// to >= 2); nodes (random-disk size); mode; controller (any registered
+// congestion controller, or 802.11 for the raw baseline; it subsumes,
+// and is mutually exclusive with, mode); routing (bfs, the minimum-hop
+// default, etx or kshortest; strategies other than bfs recompute every
+// route at wiring and drive route repair); mobility (off, or a model
+// that inherits a scenario file's speed, pause and tick); speed and
+// pause (waypoint m/s and dwell, which need the mobility axis or a
+// file's mobility block); clients (gateway client population); rate;
+// cap; and the fault axes flap and churn (0|1), which sever the first
+// flow's middle link, respectively halt its middle relay, from 40% to
+// 50% of each run with BFS route repair, and add recovery time and
+// post-fault tail queue statistics to the report.
 //
 // -scenario runs every grid point from a declarative JSON scenario file
-// (topology, flows, and dynamics timeline; see internal/scenario). Only
-// mode, rate, cap, flap, and churn may then be swept — the file fixes the
-// topology — and the file's duration_sec wins over -duration when set.
+// (topology, flows, and dynamics timeline; see internal/scenario). The
+// file fixes the topology, so topology, hops and nodes may not be swept
+// with it; every other axis may (rate only when the file declares its
+// flows). The file's duration_sec wins over -duration when set.
+//
+// Size bounds, shared with ezserve: a sweep range expands to at most
+// campaign.MaxRangeLen values, a campaign runs at most campaign.MaxRuns
+// points x reps, and a topology has at most scenario.MaxNodes nodes.
 //
 // Results are deterministic: the same spec and seed produce byte-identical
 // JSON/CSV regardless of -parallel.
@@ -82,9 +87,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 
-	"ezflow"
 	"ezflow/internal/buildinfo"
 	"ezflow/internal/campaign"
 	"ezflow/internal/fabric"
@@ -92,29 +95,16 @@ import (
 	"ezflow/internal/scenario"
 )
 
-// sweepFlags collects repeated -sweep flags.
-type sweepFlags []campaign.Axis
-
-func (s *sweepFlags) String() string {
-	var parts []string
-	for _, ax := range *s {
-		parts = append(parts, ax.Name+"="+strings.Join(ax.Values, ","))
-	}
-	return strings.Join(parts, " ")
-}
-
-func (s *sweepFlags) Set(v string) error {
-	ax, err := campaign.ParseSweep(v)
-	if err != nil {
-		return err
-	}
-	*s = append(*s, ax)
-	return nil
-}
-
 func main() {
-	var sweeps sweepFlags
-	flag.Var(&sweeps, "sweep", "swept axis as axis=v1,v2,... (repeatable; integer ranges like 2..8 expand); axes: topology (chain|testbed|scenario1|scenario2|tree|grid|random) | mode | controller ("+strings.Join(ezflow.Controllers(), "|")+"|802.11; head-to-head over the controller registry) | routing ("+strings.Join(ezflow.Routings(), "|")+"; head-to-head over the routing registry) | hops (chain length / grid side) | rate | cap | nodes (random-disk size) | flap (0|1 mid-run link failure) | churn (0|1 mid-run relay outage)")
+	var sweeps []campaign.Axis
+	flag.Func("sweep", "swept axis as axis=v1,v2,... (repeatable; integer ranges like 2..8 expand); axes:"+campaign.AxisUsage(),
+		func(v string) error {
+			ax, err := campaign.ParseSweep(v)
+			if err == nil {
+				sweeps = append(sweeps, ax)
+			}
+			return err
+		})
 	var (
 		name     = flag.String("name", "campaign", "campaign name for the report")
 		scenFile = flag.String("scenario", "", "JSON scenario file replacing the built-in topologies (fixes topology; its duration wins)")

@@ -17,7 +17,6 @@ import (
 	"ezflow/internal/campaign"
 	"ezflow/internal/fabric"
 	"ezflow/internal/obs"
-	"ezflow/internal/scenario"
 )
 
 // serverOptions configures a campaign server.
@@ -113,19 +112,14 @@ type jobStatus struct {
 	Error  string               `json:"error,omitempty"`
 }
 
-// submitRequest is the POST /campaigns body: either CLI-style sweep
-// strings, structural axes, or both, plus the usual spec knobs. An
-// embedded scenario file replaces the built-in topology grid exactly as
-// `ezcampaign -scenario` does.
+// submitRequest is the POST /campaigns body: a campaign.Spec in its JSON
+// form (structural axes, reps, seed, duration, rate, and an embedded
+// scenario file that replaces the built-in topology grid exactly as
+// `ezcampaign -scenario` does), plus CLI-style sweep strings appended
+// after its axes.
 type submitRequest struct {
-	Name        string          `json:"name,omitempty"`
-	Sweeps      []string        `json:"sweeps,omitempty"`
-	Axes        []campaign.Axis `json:"axes,omitempty"`
-	Reps        int             `json:"reps,omitempty"`
-	BaseSeed    int64           `json:"base_seed,omitempty"`
-	DurationSec float64         `json:"duration_sec,omitempty"`
-	RateBps     float64         `json:"rate_bps,omitempty"`
-	Scenario    *scenario.Spec  `json:"scenario,omitempty"`
+	campaign.Spec
+	Sweeps []string `json:"sweeps,omitempty"`
 }
 
 // newServer builds a server, opens its fabric store (when configured),
@@ -253,15 +247,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("decoding submission: %v", err))
 		return
 	}
-	spec := campaign.Spec{
-		Name:        req.Name,
-		Axes:        req.Axes,
-		Reps:        req.Reps,
-		BaseSeed:    req.BaseSeed,
-		DurationSec: req.DurationSec,
-		RateBps:     req.RateBps,
-		Scenario:    req.Scenario,
-	}
+	spec := req.Spec
 	for _, sw := range req.Sweeps {
 		ax, err := campaign.ParseSweep(sw)
 		if err != nil {

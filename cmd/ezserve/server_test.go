@@ -211,6 +211,11 @@ func TestServeErrors(t *testing.T) {
 		`{"sweeps":["bogus=1"]}`,
 		`{"sweeps":["hops=2"],"unknown_field":1}`,
 		`{"axes":[{"name":"mode","values":["warp-drive"]}]}`,
+		// Hostile sizes: each would exhaust memory if accepted.
+		`{"sweeps":["hops=2"],"reps":1000000000000}`,
+		`{"sweeps":["hops=1..2000000000"]}`,
+		`{"scenario":{"topology":{"kind":"tree","depth":20}}}`,
+		`{"sweeps":["topology=grid","hops=5000"]}`,
 	} {
 		resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -222,6 +227,8 @@ func TestServeErrors(t *testing.T) {
 		}
 	}
 
+	// The server survived the hostile bodies and still serves.
+	get(t, ts.URL+"/stats", http.StatusOK)
 	get(t, ts.URL+"/campaigns/c9999", http.StatusNotFound)
 	get(t, ts.URL+"/campaigns/c9999/result", http.StatusNotFound)
 

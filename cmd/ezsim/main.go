@@ -14,8 +14,8 @@
 //	ezsim -topology chain -hops 4 -controller backpressure
 //
 // Topologies: chain (with -hops), testbed, scenario1, scenario2, tree,
-// grid (with -grid-w/-grid-h), random (with -nodes/-radius; placement is
-// seeded by -seed). Modes: 802.11, ezflow, penalty, diffq.
+// grid (with -grid-w/-grid-h), random (with -nodes/-radius/-edge-loss;
+// placement is seeded by -seed). Modes: 802.11, ezflow, penalty, diffq.
 //
 // -controller selects any congestion controller registered in
 // internal/ctl by name, overriding -mode; `ezsim -h` enumerates the
@@ -58,9 +58,15 @@
 // -scenario runs a declarative JSON scenario file instead — topology,
 // flows, and a dynamics timeline of timed perturbations (link flaps, node
 // churn, channel degradation, traffic steps); see internal/scenario for
-// the format. The file governs the run, but -mode, -seed, -duration and
-// -cap still override it when set explicitly. Runs with faults print
-// recovery metrics and the applied-event log.
+// the format. The file governs the run, and every run-setting flag
+// passed explicitly overrides it: -mode, -controller, -routing,
+// -mobility, -speed, -pause, -clients, -rate, -cap, -seed, -duration and
+// -q. The topology flags (-topology, -hops, -grid-w, -grid-h, -nodes,
+// -radius, -edge-loss) are rejected with a file, whose topology is
+// fixed. Runs with faults print recovery metrics and the applied-event
+// log. Both forms run one path: a scenario.Spec (the file, or one from
+// the topology flags) with each explicitly set flag applied through the
+// scenario setting table that campaign sweep axes also go through.
 package main
 
 import (
@@ -68,14 +74,11 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 
 	"ezflow"
 	"ezflow/internal/buildinfo"
-	"ezflow/internal/ctl"
 	"ezflow/internal/mobility"
 	"ezflow/internal/plot"
-	"ezflow/internal/routing"
 	"ezflow/internal/scenario"
 	"ezflow/internal/stats"
 	"ezflow/internal/trace"
@@ -84,29 +87,29 @@ import (
 func main() {
 	var (
 		topology = flag.String("topology", "chain", "chain|testbed|scenario1|scenario2|tree|grid|random")
-		scenFile = flag.String("scenario", "", "JSON scenario file (topology+flows+dynamics; overrides topology flags)")
-		hops     = flag.Int("hops", 4, "number of hops for the chain topology")
-		gridW    = flag.Int("grid-w", 4, "grid width for -topology grid")
-		gridH    = flag.Int("grid-h", 4, "grid height for -topology grid")
-		nodes    = flag.Int("nodes", 12, "node count for -topology random")
-		radius   = flag.Float64("radius", 0, "disk radius in metres for -topology random (0 = auto)")
-		edgeLoss = flag.Float64("edge-loss", 0, "edge-of-range loss ceiling in [0,1) for -topology random (0 = loss-free links)")
+		scenFile = flag.String("scenario", "", "JSON scenario file (topology+flows+dynamics); run-setting flags override it, topology flags are rejected")
 		mode     = flag.String("mode", "ezflow", "802.11|ezflow|penalty|diffq")
-		ctlName  = flag.String("controller", "", "congestion controller from the registry, overriding -mode: "+strings.Join(ezflow.Controllers(), "|")+" (or 802.11 for none); registered controllers:\n"+ezflow.ControllerUsage())
-		routName = flag.String("routing", "", "routing strategy from the registry: "+strings.Join(ezflow.Routings(), "|")+" (empty = bfs, the builder's minimum-hop routes); registered strategies:\n"+ezflow.RoutingUsage())
-		mobName  = flag.String("mobility", "", "mobility model from the registry: "+strings.Join(ezflow.Mobilities(), "|")+" (or off to pin a scenario file's mobile nodes); registered models:\n"+ezflow.MobilityUsage())
-		speed    = flag.Float64("speed", 0, "mobile node speed in m/s (needs -mobility or a scenario mobility block)")
-		pause    = flag.Float64("pause", 0, "waypoint dwell seconds at each destination (needs -mobility or a scenario mobility block)")
-		clients  = flag.Int("clients", 0, "gateway client population size (synthesizes a downlink workload, or resizes a scenario file's)")
-		duration = flag.Float64("duration", 600, "simulated seconds")
-		seed     = flag.Int64("seed", 1, "random seed")
-		rate     = flag.Float64("rate", 2e6, "per-flow CBR rate in bit/s")
-		cap      = flag.Int("cap", 0, "hardware CWmin cap (0 = none; 1024 reproduces the testbed)")
 		penaltyQ = flag.Float64("q", 1.0/128, "penalty factor for -mode penalty")
 		traceDir = flag.String("trace-dir", "", "write CSV traces into this directory")
 		doPlot   = flag.Bool("plot", false, "render ASCII charts of queues, throughput and cw")
 		version  = flag.Bool("version", false, "print version and exit")
 	)
+	flag.Int("hops", 4, "number of hops for the chain topology")
+	flag.Int("grid-w", 4, "grid width for -topology grid")
+	flag.Int("grid-h", 4, "grid height for -topology grid")
+	flag.Int("nodes", 12, "node count for -topology random")
+	flag.Float64("radius", 0, "disk radius in metres for -topology random (0 = auto)")
+	flag.Float64("edge-loss", 0, "edge-of-range loss ceiling in [0,1) for -topology random (0 = loss-free links)")
+	flag.String("controller", "", "congestion controller from the registry, overriding -mode (or 802.11 for none); registered controllers:\n"+ezflow.Controllers.Usage())
+	flag.String("routing", "", "routing strategy from the registry (empty = bfs, the builder's minimum-hop routes); registered strategies:\n"+ezflow.Routings.Usage())
+	flag.String("mobility", "", "mobility model from the registry (or off to pin a scenario file's mobile nodes); registered models:\n"+mobility.Usage())
+	flag.Float64("speed", 0, "mobile node speed in m/s (needs -mobility or a scenario mobility block)")
+	flag.Float64("pause", 0, "waypoint dwell seconds at each destination (needs -mobility or a scenario mobility block)")
+	flag.Int("clients", 0, "gateway client population size (synthesizes a downlink workload, or resizes a scenario file's)")
+	flag.Float64("duration", 600, "simulated seconds")
+	flag.Int64("seed", 1, "random seed")
+	flag.Float64("rate", 2e6, "per-flow CBR rate in bit/s")
+	flag.Int("cap", 0, "hardware CWmin cap (0 = none; 1024 reproduces the testbed)")
 	var o obsOpts
 	o.registerFlags()
 	flag.Parse()
@@ -115,110 +118,39 @@ func main() {
 		return
 	}
 
-	if err := validateController(*ctlName); err != nil {
-		fatalf("%v", err)
-	}
-	if err := validateRouting(*routName); err != nil {
-		fatalf("%v", err)
-	}
-	if err := validateMobility(*mobName); err != nil {
-		fatalf("%v", err)
-	}
-
+	spec := &scenario.Spec{Topology: scenario.Topology{Kind: *topology}, Mode: *mode}
 	if *scenFile != "" {
-		set := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		runScenarioFile(*scenFile, set, overrides{
-			mode: *mode, ctlName: *ctlName, routName: *routName,
-			mobName: *mobName, speed: *speed, pause: *pause, clients: *clients,
-			seed: *seed, durationSec: *duration, cwCap: *cap,
-		}, *traceDir, *doPlot, &o)
-		return
-	}
-
-	cfg := ezflow.DefaultConfig()
-	cfg.Seed = *seed
-	cfg.Duration = ezflow.Time(*duration * float64(ezflow.Second))
-	cfg.MAC.HardwareCWCap = *cap
-	cfg.PenaltyQ = *penaltyQ
-	switch *mode {
-	case "802.11":
-		cfg.Mode = ezflow.Mode80211
-	case "ezflow":
-		cfg.Mode = ezflow.ModeEZFlow
-	case "penalty":
-		cfg.Mode = ezflow.ModePenalty
-	case "diffq":
-		cfg.Mode = ezflow.ModeDiffQ
-	default:
-		fatalf("unknown mode %q", *mode)
-	}
-	if *ctlName != "" {
-		if ctl.IsNone(*ctlName) {
-			cfg.Mode = ezflow.Mode80211
-		} else {
-			cfg.Controller = *ctlName
+		var err error
+		if spec, err = scenario.Load(*scenFile); err != nil {
+			fatalf("%v", err)
 		}
 	}
-	cfg.Routing = *routName
-	if *mobName != "" && !mobility.IsOff(*mobName) {
-		cfg.Mobility = &mobility.Config{
-			Model: *mobName,
-			Opts:  mobility.Options{SpeedMps: *speed, PauseSec: *pause},
+	set := map[string]string{}
+	flag.Visit(func(f *flag.Flag) {
+		st, ok := scenario.LookupSetting(f.Name)
+		switch {
+		case !ok:
+		case st.Topology && *scenFile != "":
+			fatalf("-%s conflicts with -scenario (the file fixes the topology)", f.Name)
+		default:
+			set[f.Name] = f.Value.String()
 		}
-	} else if *speed > 0 || *pause > 0 {
-		fatalf("-speed/-pause need -mobility (or a -scenario file with a mobility block)")
+	})
+	if err := spec.Apply(set); err != nil {
+		fatalf("%v", err)
 	}
-	if *clients > 0 {
-		cfg.Workload = &ezflow.WorkloadSpec{Clients: *clients}
+	cfg, err := spec.Config()
+	if err != nil {
+		fatalf("%v", err)
 	}
-
-	var sc *ezflow.Scenario
-	switch *topology {
-	case "chain":
-		sc = ezflow.NewChain(*hops, cfg, ezflow.FlowSpec{Flow: 1, RateBps: *rate})
-	case "testbed":
-		sc = ezflow.NewTestbed(cfg,
-			ezflow.FlowSpec{Flow: 1, RateBps: *rate},
-			ezflow.FlowSpec{Flow: 2, RateBps: *rate})
-	case "scenario1":
-		sc = ezflow.NewScenario1(cfg,
-			ezflow.FlowSpec{Flow: 1, RateBps: *rate},
-			ezflow.FlowSpec{Flow: 2, RateBps: *rate})
-	case "scenario2":
-		sc = ezflow.NewScenario2(cfg,
-			ezflow.FlowSpec{Flow: 1, RateBps: *rate},
-			ezflow.FlowSpec{Flow: 2, RateBps: *rate},
-			ezflow.FlowSpec{Flow: 3, RateBps: *rate})
-	case "tree":
-		sc = ezflow.NewTree(3, 2, cfg)
-	case "grid":
-		if *gridW < 1 || *gridH < 1 || *gridW**gridH < 2 {
-			fatalf("grid needs -grid-w/-grid-h >= 1 with at least 2 nodes (got %dx%d)", *gridW, *gridH)
-		}
-		specs := []ezflow.FlowSpec{{Flow: 1, RateBps: *rate}}
-		if *gridW > 1 && *gridH > 1 {
-			specs = append(specs, ezflow.FlowSpec{Flow: 2, RateBps: *rate})
-		}
-		sc = ezflow.NewGrid(*gridW, *gridH, cfg, specs...)
-	case "random":
-		if *nodes < 2 {
-			fatalf("random needs -nodes >= 2 (got %d)", *nodes)
-		}
-		if *edgeLoss < 0 || *edgeLoss >= 1 {
-			fatalf("-edge-loss %g out of [0,1)", *edgeLoss)
-		}
-		// RandomDisk panics when no connected placement exists (radius too
-		// large for the transmission range); surface that as a clean CLI
-		// error rather than a stack trace.
-		sc = buildOrFail(func() *ezflow.Scenario {
-			return ezflow.NewRandomLossy(*nodes, *radius, *edgeLoss, cfg,
-				ezflow.FlowSpec{Flow: 1, RateBps: *rate})
-		})
-	default:
-		fatalf("unknown topology %q", *topology)
+	cfg.PenaltyQ = *penaltyQ // a run setting without a spec field
+	sc, err := spec.BuildWith(cfg)
+	if err != nil {
+		fatalf("%v", err)
 	}
-
+	if spec.Name != "" {
+		fmt.Printf("scenario %q\n", spec.Name)
+	}
 	res := o.run(sc)
 	printSummary(res)
 	if *doPlot {
@@ -229,144 +161,6 @@ func main() {
 			fatalf("writing traces: %v", err)
 		}
 		fmt.Printf("traces written to %s\n", *traceDir)
-	}
-}
-
-// validateController rejects controller names absent from the registry
-// (the 802.11/off spellings, ctl.IsNone, select no controller at all).
-func validateController(name string) error {
-	if ctl.IsNone(name) {
-		return nil
-	}
-	if _, ok := ctl.ByName(name); ok {
-		return nil
-	}
-	return fmt.Errorf("unknown controller %q (registered: %s)", name, strings.Join(ezflow.Controllers(), ", "))
-}
-
-// validateRouting rejects routing-strategy names absent from the registry
-// (empty selects the default minimum-hop routes).
-func validateRouting(name string) error {
-	if name == "" {
-		return nil
-	}
-	if _, ok := routing.ByName(name); ok {
-		return nil
-	}
-	return fmt.Errorf("unknown routing strategy %q (registered: %s)", name, strings.Join(ezflow.Routings(), ", "))
-}
-
-// validateMobility rejects mobility-model names absent from the registry
-// (the off/static spellings, mobility.IsOff, select no mobility).
-func validateMobility(name string) error {
-	if mobility.IsOff(name) {
-		return nil
-	}
-	if _, ok := mobility.ByName(name); ok {
-		return nil
-	}
-	return fmt.Errorf("unknown mobility model %q (registered: %s, or off for static)", name, strings.Join(ezflow.Mobilities(), ", "))
-}
-
-// overrides carries the flag values that may override a scenario file;
-// each applies only when its flag was passed explicitly.
-type overrides struct {
-	mode, ctlName, routName string
-	mobName                 string
-	speed, pause            float64
-	clients                 int
-	seed                    int64
-	durationSec             float64
-	cwCap                   int
-}
-
-// runScenarioFile executes a declarative scenario file, letting -mode,
-// -controller, -routing, -mobility, -speed, -pause, -clients, -seed,
-// -duration and -cap override the file when passed explicitly (set holds
-// the names of flags present on the command line).
-func runScenarioFile(path string, set map[string]bool, ov overrides,
-	traceDir string, doPlot bool, o *obsOpts) {
-	spec, err := scenario.Load(path)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if set["mode"] {
-		spec.Mode = ov.mode
-		spec.Controller = ""
-	}
-	if set["controller"] {
-		spec.Mode = ""
-		spec.Controller = ov.ctlName
-		if ctl.IsNone(ov.ctlName) {
-			spec.Controller = "" // plain 802.11: no controller at all
-		}
-	}
-	if set["routing"] {
-		spec.Routing = ov.routName
-	}
-	if set["mobility"] {
-		switch {
-		case mobility.IsOff(ov.mobName):
-			// Static control run: drop the file's block entirely.
-			spec.Mobility = nil
-		case spec.Mobility != nil:
-			// A swept model inherits the file's tuned speed/pause/tick,
-			// mirroring the campaign mobility axis. A trace file bound to
-			// the old model would fail validation under the new one.
-			spec.Mobility.Model = ov.mobName
-			if ov.mobName != "trace" {
-				spec.Mobility.TraceFile = ""
-			}
-		default:
-			spec.Mobility = &scenario.Mobility{Model: ov.mobName}
-		}
-	}
-	if set["speed"] || set["pause"] {
-		if spec.Mobility == nil {
-			fatalf("-speed/-pause need a mobility model (-mobility, or a mobility block in %s)", path)
-		}
-		if set["speed"] {
-			spec.Mobility.SpeedMps = ov.speed
-		}
-		if set["pause"] {
-			spec.Mobility.PauseSec = ov.pause
-		}
-	}
-	if set["clients"] {
-		if spec.Workload == nil {
-			spec.Workload = &scenario.Workload{}
-		}
-		spec.Workload.Clients = ov.clients
-	}
-	if set["seed"] {
-		spec.Seed = ov.seed
-	}
-	if set["duration"] {
-		spec.DurationSec = ov.durationSec
-	}
-	if set["cap"] {
-		spec.CWCap = ov.cwCap
-	}
-	if err := spec.Validate(); err != nil {
-		fatalf("%v", err)
-	}
-	sc, err := spec.Build()
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if spec.Name != "" {
-		fmt.Printf("scenario %q\n", spec.Name)
-	}
-	res := o.run(sc)
-	printSummary(res)
-	if doPlot {
-		printPlots(res)
-	}
-	if traceDir != "" {
-		if err := writeTraces(res, traceDir); err != nil {
-			fatalf("writing traces: %v", err)
-		}
-		fmt.Printf("traces written to %s\n", traceDir)
 	}
 }
 
@@ -518,17 +312,6 @@ func writeTraces(res *ezflow.Result, dir string) error {
 	}
 	_, err := b.WriteDir(dir)
 	return err
-}
-
-// buildOrFail converts topology-construction panics into the CLI's
-// one-line error exit.
-func buildOrFail(build func() *ezflow.Scenario) *ezflow.Scenario {
-	defer func() {
-		if r := recover(); r != nil {
-			fatalf("%v", r)
-		}
-	}()
-	return build()
 }
 
 func fatalf(format string, args ...any) {

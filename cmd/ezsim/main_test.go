@@ -93,3 +93,48 @@ func TestOutputPins(t *testing.T) {
 		t.Errorf("ezsim output diverges from %s:\n%s", path, got.String())
 	}
 }
+
+// TestScenarioFileFlags covers the flags a scenario file run honours or
+// rejects: -q reaches the penalty controller, and topology flags
+// conflict with the file's fixed topology.
+func TestScenarioFileFlags(t *testing.T) {
+	base := []string{"-scenario", linkfailure, "-duration", "300", "-mode", "penalty"}
+	plain, stderr, ok := ezsim(t, base...)
+	if !ok {
+		t.Fatalf("ezsim %v: %s", base, stderr)
+	}
+	tuned, stderr, ok := ezsim(t, append(base, "-q", "0.5")...)
+	if !ok {
+		t.Fatalf("ezsim -q: %s", stderr)
+	}
+	if plain == tuned {
+		t.Error("-q had no effect on a scenario file run")
+	}
+	for _, args := range [][]string{{"-topology", "grid"}, {"-hops", "3"}, {"-nodes", "20"}, {"-edge-loss", "0.1"}} {
+		_, stderr, ok := ezsim(t, append([]string{"-scenario", linkfailure}, args...)...)
+		if ok || !strings.Contains(stderr, "conflicts with -scenario") {
+			t.Errorf("ezsim -scenario %v: ok=%v stderr=%q, want a topology conflict", args, ok, stderr)
+		}
+	}
+}
+
+// TestBadFlags checks invalid settings exit with one error line.
+func TestBadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-controller", "warp"},
+		{"-routing", "teleport"},
+		{"-mobility", "hover"},
+		{"-speed", "3"},
+		{"-topology", "torus"},
+		{"-topology", "random", "-nodes", "1"},
+		{"-topology", "grid", "-grid-w", "1", "-grid-h", "1"},
+		{"-topology", "chain", "-hops", "5000"},
+		{"-clients", "0"},
+		{"-duration", "-1"},
+	} {
+		_, stderr, ok := ezsim(t, args...)
+		if ok || !strings.HasPrefix(stderr, "ezsim: ") || strings.Count(stderr, "\n") != 1 {
+			t.Errorf("ezsim %v: ok=%v stderr=%q, want one ezsim: error line", args, ok, stderr)
+		}
+	}
+}

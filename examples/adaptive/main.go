@@ -5,7 +5,7 @@
 // (which needs message passing), and EZ-Flow (which needs neither). The
 // second table demonstrates controller switching: the same scenario is
 // re-run for every controller registered in the pluggable subsystem
-// (ezflow.Controllers()) just by setting cfg.Controller — including the
+// (ezflow.Controllers.Names()) just by setting cfg.Controller — including the
 // backpressure and explicit-feedback competitors — and prints throughput,
 // delay, first-relay backlog, and control overhead bytes for each.
 package main
@@ -49,7 +49,7 @@ func main() {
 	fmt.Println("\ncontroller switching via cfg.Controller (the whole registry):")
 	fmt.Print(header)
 	run("802.11", func(cfg *ezflow.Config) {}) // no controller: the baseline
-	for _, name := range ezflow.Controllers() {
+	for _, name := range ezflow.Controllers.Names() {
 		n := name
 		run(n, func(cfg *ezflow.Config) { cfg.Controller = n })
 	}

@@ -34,7 +34,6 @@ package ezflow
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"ezflow/internal/baseline"
 	"ezflow/internal/ctl"
@@ -122,35 +121,15 @@ func (m Mode) ControllerName() string {
 	}
 }
 
-// Controllers returns the names of every registered congestion
-// controller, sorted — the values Config.Controller, scenario files, the
-// campaign "controller" axis and the ezsim -controller flag accept. CLI
-// usage strings enumerate this instead of hand-maintained lists.
-func Controllers() []string { return ctl.Names() }
-
-// ControllerUsage renders one "name — summary" line per registered
-// controller for CLI help text.
-func ControllerUsage() string { return ctl.Usage() }
-
-// Routings returns the names of every registered routing strategy, sorted
-// — the values Config.Routing, scenario files, the campaign "routing"
-// axis and the ezsim -routing flag accept (see internal/routing).
-func Routings() []string { return routing.Names() }
-
-// RoutingUsage renders one "name — summary" line per registered routing
-// strategy for CLI help text.
-func RoutingUsage() string { return routing.Usage() }
-
-// Mobilities returns the names of every registered mobility model,
-// sorted — the values Config.Mobility selects by name, scenario files,
-// the campaign "mobility" axis and the ezsim -mobility flag accept (see
-// internal/mobility). The off spellings ("", "off", "static") are
-// accepted everywhere in addition to these.
-func Mobilities() []string { return mobility.Names() }
-
-// MobilityUsage renders one "name — summary" line per mobility model
-// (including the off default) for CLI help text.
-func MobilityUsage() string { return mobility.Usage() }
+// Controllers and Routings are the congestion-controller and
+// routing-strategy registries: the names Config.Controller and
+// Config.Routing, scenario files, campaign axes and the CLI flags
+// accept. Names lists them sorted, and Usage renders one "name summary"
+// line per entry for help text.
+var (
+	Controllers = ctl.Registry
+	Routings    = routing.Registry
+)
 
 // Config parameterises a scenario run.
 type Config struct {
@@ -159,7 +138,7 @@ type Config struct {
 	Mode     Mode
 
 	// Controller selects a congestion controller from the internal/ctl
-	// registry by name (see Controllers()), overriding Mode's controller
+	// registry by name (see Controllers), overriding Mode's controller
 	// when non-empty. Empty derives the controller from Mode, so existing
 	// Mode-based configurations behave exactly as before. Unknown names
 	// panic at scenario wiring — the CLI and scenario layers validate
@@ -172,7 +151,7 @@ type Config struct {
 	Ctl ctl.Options
 
 	// Routing selects a routing strategy from the internal/routing
-	// registry by name (see Routings()). Empty or "bfs" keeps the default
+	// registry by name (see Routings). Empty or "bfs" keeps the default
 	// minimum-hop behaviour, byte-identical to configurations that predate
 	// the registry: builder-installed routes stay exactly as constructed
 	// and only dynamics route repair runs the strategy. Any other name
@@ -473,10 +452,9 @@ func wire(cfg Config, eng *sim.Engine, m *mesh.Mesh, flows []FlowSpec) *Scenario
 	// any other strategy recomputes every route now, against the
 	// calibrated link losses, so it shapes the run from t=0.
 	if name := cfg.Routing; name != "" {
-		info, ok := routing.ByName(name)
-		if !ok {
-			panic(fmt.Sprintf("ezflow: unknown routing strategy %q (registered: %s)",
-				name, strings.Join(routing.Names(), ", ")))
+		info, err := routing.Registry.Get(name)
+		if err != nil {
+			panic("ezflow: " + err.Error())
 		}
 		m.SetStrategy(info.New(routing.DefaultOptions()))
 		if !routing.IsDefault(name) {
@@ -547,10 +525,9 @@ func wire(cfg Config, eng *sim.Engine, m *mesh.Mesh, flows []FlowSpec) *Scenario
 	// Controller deployment, resolved through the internal/ctl registry:
 	// Config.Controller wins, the legacy Mode otherwise.
 	if name := cfg.controllerName(); name != "" {
-		info, ok := ctl.ByName(name)
-		if !ok {
-			panic(fmt.Sprintf("ezflow: unknown controller %q (registered: %s)",
-				name, strings.Join(ctl.Names(), ", ")))
+		info, err := ctl.Registry.Get(name)
+		if err != nil {
+			panic("ezflow: " + err.Error())
 		}
 		sc.Ctl = info.Deploy(m, cfg.ctlOptions())
 		if e, ok := sc.Ctl.(ctl.EZInstance); ok {

@@ -26,7 +26,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -34,12 +36,10 @@ import (
 	"time"
 
 	"ezflow"
-	"ezflow/internal/ctl"
 	"ezflow/internal/dynamics"
 	"ezflow/internal/fabric"
 	"ezflow/internal/mobility"
 	"ezflow/internal/obs"
-	"ezflow/internal/routing"
 	"ezflow/internal/scenario"
 	"ezflow/internal/stats"
 )
@@ -88,28 +88,60 @@ func (s Spec) sweeps(name string) bool {
 	return false
 }
 
-// Axis is one swept parameter. Known names: "topology"
-// (chain|testbed|scenario1|scenario2|tree|grid|random), "mode"
-// (802.11|ezflow|penalty|diffq), "controller" (any registered congestion
-// controller — see ctl.Names() — plus 802.11|off|none for the raw
-// baseline; mutually exclusive with the mode axis), "routing" (any
-// registered routing strategy — see routing.Names()), "hops" (chain
-// length; also the side of a grid topology, clamped to >= 2), "rate"
-// (bit/s), "cap" (hardware CWmin cap, 0 = none), "nodes" (node count of
-// the random topology, whose placement is seeded per replication), the
-// fault-injection axes "flap" and "churn" (0|1): flap=1 severs the first
-// flow's middle link for a tenth of the run starting at 40%, churn=1
-// halts its middle relay over the same window, both with BFS route
-// repair — and the mobility/workload axes: "mobility" (off or any
-// registered model — see mobility.Names()), "speed" and "pause"
-// (waypoint m/s and dwell seconds; they override the mobility axis or
-// the scenario file's mobility block, one of which must be present),
-// and "clients" (gateway-workload population size, overriding the
-// scenario file's workload block or synthesizing an always-on downlink
-// population when the campaign has none).
+// Axis is one swept parameter, named by a sweep axis (see AxisUsage): a
+// scenario setting, which parses and validates each value, or a
+// campaign-only fault axis, flap or churn (0|1), which severs the first
+// flow's middle link, respectively halts its middle relay, from 40% to
+// 50% of the run with BFS route repair. On built-in topologies "hops" is
+// also the side of a grid, clamped to >= 2.
 type Axis struct {
 	Name   string   `json:"name"`
 	Values []string `json:"values"`
+}
+
+// Upper bounds on a campaign's size, enforced by ParseSweep and
+// Enumerate — the validation ezcampaign and ezserve share — so a hostile
+// submission is rejected before anything is allocated for it.
+const (
+	// MaxRangeLen bounds the values one "lo..hi" sweep range expands to.
+	MaxRangeLen = 10_000
+	// MaxRuns bounds a campaign's grid points times replications.
+	MaxRuns = 100_000
+)
+
+// axes maps every sweep axis to the Point field it sets. Values arrive
+// parsed and validated by the scenario setting of the same name, or by
+// parseBool01 for the fault axes.
+var axes = map[string]func(p *Point, v any){
+	"topology":   func(p *Point, v any) { p.Topology = v.(string) },
+	"mode":       func(p *Point, v any) { p.Mode = v.(ezflow.Mode) },
+	"controller": func(p *Point, v any) { p.Controller = v.(string) },
+	"routing":    func(p *Point, v any) { p.Routing = v.(string) },
+	"hops":       func(p *Point, v any) { p.Hops = v.(int) },
+	"rate":       func(p *Point, v any) { p.RateBps = v.(float64) },
+	"cap":        func(p *Point, v any) { p.CWCap = v.(int) },
+	"nodes":      func(p *Point, v any) { p.Nodes = v.(int) },
+	"mobility":   func(p *Point, v any) { p.Mobility = v.(string) },
+	"speed":      func(p *Point, v any) { p.SpeedMps = v.(float64) },
+	"pause":      func(p *Point, v any) { p.PauseSec = v.(float64) },
+	"clients":    func(p *Point, v any) { p.Clients = v.(int) },
+	"flap":       func(p *Point, v any) { p.Flap = v.(bool) },
+	"churn":      func(p *Point, v any) { p.Churn = v.(bool) },
+}
+
+// AxisUsage lists every sweep axis with its accepted values, one per
+// line in the scenario setting table's order, for help text.
+func AxisUsage() string {
+	var b strings.Builder
+	line := func(name, usage string) { fmt.Fprintf(&b, "\n  %-10s %s", name, usage) }
+	for _, st := range scenario.Settings {
+		if _, ok := axes[st.Name]; ok {
+			line(st.Name, st.Usage)
+		}
+	}
+	line("flap", "0|1: mid-run link failure")
+	line("churn", "0|1: mid-run relay outage")
+	return b.String()
 }
 
 // ParseSweep parses the CLI sweep syntax "axis=v1,v2,..." into an Axis.
@@ -120,11 +152,8 @@ func ParseSweep(s string) (Axis, error) {
 		return Axis{}, fmt.Errorf("campaign: sweep %q is not axis=v1,v2,...", s)
 	}
 	name = strings.ToLower(strings.TrimSpace(name))
-	switch name {
-	case "topology", "mode", "controller", "routing", "hops", "rate", "cap", "nodes", "flap", "churn",
-		"mobility", "speed", "pause", "clients":
-	default:
-		return Axis{}, fmt.Errorf("campaign: unknown sweep axis %q (want topology|mode|controller|routing|hops|rate|cap|nodes|flap|churn|mobility|speed|pause|clients)", name)
+	if _, ok := axes[name]; !ok {
+		return Axis{}, fmt.Errorf("campaign: unknown sweep axis %q (want %s)", name, strings.Join(slices.Sorted(maps.Keys(axes)), "|"))
 	}
 	var out []string
 	for _, v := range strings.Split(vals, ",") {
@@ -134,6 +163,9 @@ func ParseSweep(s string) (Axis, error) {
 			b, err2 := strconv.Atoi(hi)
 			if err1 != nil || err2 != nil || a > b {
 				return Axis{}, fmt.Errorf("campaign: bad range %q in sweep %q", v, s)
+			}
+			if b-a >= MaxRangeLen || b-a < 0 {
+				return Axis{}, fmt.Errorf("campaign: range %q in sweep %q expands to more than %d values", v, s, MaxRangeLen)
 			}
 			for i := a; i <= b; i++ {
 				out = append(out, strconv.Itoa(i))
@@ -148,13 +180,6 @@ func ParseSweep(s string) (Axis, error) {
 		return Axis{}, fmt.Errorf("campaign: sweep %q has no values", s)
 	}
 	return Axis{Name: name, Values: out}, nil
-}
-
-// ParseMode maps the CLI spellings of the four control modes. It shares
-// scenario.ParseMode's spelling table so campaigns and scenario files
-// can never disagree.
-func ParseMode(s string) (ezflow.Mode, error) {
-	return scenario.ParseMode(s)
 }
 
 // Point is one fully resolved grid point of a campaign.
@@ -194,115 +219,31 @@ type Point struct {
 }
 
 func (p *Point) set(axis, value string) error {
-	switch axis {
-	case "topology":
-		switch value {
-		case "chain", "testbed", "scenario1", "scenario2", "tree", "grid", "random":
-			p.Topology = value
-		default:
-			return fmt.Errorf("campaign: unknown topology %q", value)
-		}
-	case "mode":
-		m, err := ParseMode(value)
-		if err != nil {
-			return err
-		}
-		p.Mode = m
-	case "controller":
-		v := strings.ToLower(value)
-		if ctl.IsNone(v) {
-			p.Controller = "802.11"
-		} else {
-			if _, ok := ctl.ByName(v); !ok {
-				return fmt.Errorf("campaign: unknown controller %q (registered: %s, or 802.11 for none)", value, ctl.NamesList())
-			}
-			p.Controller = v
-		}
-	case "routing":
-		v := strings.ToLower(value)
-		if _, ok := routing.ByName(v); !ok {
-			return fmt.Errorf("campaign: unknown routing strategy %q (registered: %s)", value, routing.NamesList())
-		}
-		p.Routing = v
-	case "hops":
-		n, err := strconv.Atoi(value)
-		if err != nil || n < 1 {
-			return fmt.Errorf("campaign: bad hop count %q", value)
-		}
-		p.Hops = n
-	case "rate":
-		r, err := strconv.ParseFloat(value, 64)
-		if err != nil || r <= 0 {
-			return fmt.Errorf("campaign: bad rate %q", value)
-		}
-		p.RateBps = r
-	case "cap":
-		c, err := strconv.Atoi(value)
-		if err != nil || c < 0 {
-			return fmt.Errorf("campaign: bad cw cap %q", value)
-		}
-		p.CWCap = c
-	case "nodes":
-		n, err := strconv.Atoi(value)
-		if err != nil || n < 2 {
-			return fmt.Errorf("campaign: bad node count %q", value)
-		}
-		p.Nodes = n
-	case "mobility":
-		v := strings.ToLower(value)
-		if mobility.IsOff(v) {
-			p.Mobility = "off"
-		} else {
-			if _, ok := mobility.ByName(v); !ok {
-				return fmt.Errorf("campaign: unknown mobility model %q (registered: %s, or off for static)", value, mobility.NamesList())
-			}
-			p.Mobility = v
-		}
-	case "speed":
-		v, err := strconv.ParseFloat(value, 64)
-		if err != nil || v <= 0 {
-			return fmt.Errorf("campaign: bad speed %q (want m/s > 0)", value)
-		}
-		p.SpeedMps = v
-	case "pause":
-		v, err := strconv.ParseFloat(value, 64)
-		if err != nil || v <= 0 {
-			return fmt.Errorf("campaign: bad pause %q (want seconds > 0)", value)
-		}
-		p.PauseSec = v
-	case "clients":
-		n, err := strconv.Atoi(value)
-		if err != nil || n < 1 {
-			return fmt.Errorf("campaign: bad client count %q", value)
-		}
-		p.Clients = n
-	case "flap":
-		b, err := parseBool01(value)
-		if err != nil {
-			return fmt.Errorf("campaign: bad flap value %q (want 0|1)", value)
-		}
-		p.Flap = b
-	case "churn":
-		b, err := parseBool01(value)
-		if err != nil {
-			return fmt.Errorf("campaign: bad churn value %q (want 0|1)", value)
-		}
-		p.Churn = b
-	default:
+	field, ok := axes[axis]
+	if !ok {
 		return fmt.Errorf("campaign: unknown axis %q", axis)
 	}
+	parse := scenario.ParseSetting
+	if axis == "flap" || axis == "churn" {
+		parse = parseBool01
+	}
+	v, err := parse(axis, value)
+	if err != nil {
+		return err
+	}
+	field(p, v)
 	return nil
 }
 
-// parseBool01 parses the 0|1 (or false|true) axis values.
-func parseBool01(v string) (bool, error) {
+// parseBool01 parses the 0|1 (or false|true) values of the fault axes.
+func parseBool01(axis, v string) (any, error) {
 	switch strings.ToLower(v) {
 	case "0", "false", "off":
 		return false, nil
 	case "1", "true", "on":
 		return true, nil
 	}
-	return false, fmt.Errorf("not a boolean")
+	return nil, fmt.Errorf("campaign: bad %s value %q (want 0|1)", axis, v)
 }
 
 // gridSide maps the hops axis to the side of a grid topology, clamped to
@@ -376,11 +317,22 @@ func (p Point) makeLabel() string {
 // Enumerate expands the spec's axes into the cartesian grid of points,
 // in deterministic axis-major order. With a scenario file attached, the
 // base point mirrors the file (its name, mode and per-flow rates) and
-// topology-shaped axes are rejected.
+// topology-shaped axes are rejected. Grids over MaxRuns runs, and
+// built-in topologies over scenario.MaxNodes nodes, are rejected before
+// any point is built.
 func (s Spec) Enumerate() ([]Point, error) {
 	base := Point{Topology: "chain", Mode: ezflow.Mode80211, Hops: 4, RateBps: s.RateBps, Nodes: 12}
 	if base.RateBps <= 0 {
 		base.RateBps = 2e6
+	}
+	size, _ := s.effective()
+	for _, ax := range s.Axes {
+		if size <= MaxRuns { // bounds the product below 2^63
+			size *= len(ax.Values)
+		}
+	}
+	if size > MaxRuns {
+		return nil, fmt.Errorf("campaign: more than %d runs (grid points x reps)", MaxRuns)
 	}
 	if s.sweeps("mode") && s.sweeps("controller") {
 		return nil, fmt.Errorf("campaign: the mode and controller axes are mutually exclusive (controller subsumes mode)")
@@ -392,57 +344,43 @@ func (s Spec) Enumerate() ([]Point, error) {
 		}
 	}
 	if s.Scenario != nil {
-		if err := s.Scenario.Validate(); err != nil {
-			return nil, err
-		}
-		// Trial-build once (no run): dynamics events naming nodes absent
-		// from the topology only surface at build time, and surfacing
-		// them here as an error beats a raw panic inside a pool worker.
-		if _, err := s.Scenario.Build(); err != nil {
-			return nil, err
-		}
-		// The file's own Validate checks events against the file's
-		// duration; when the file leaves duration unset, the campaign's
-		// applies instead, and events scheduled past it would silently
-		// never fire — reject that here, where it can still be an error.
-		if s.Scenario.DurationSec <= 0 {
-			eff := s.DurationSec
-			if eff <= 0 {
-				eff = ezflow.DefaultDuration.Seconds()
-			}
-			for i, ev := range s.Scenario.Dynamics {
-				if ev.AtSec > eff {
-					return nil, fmt.Errorf("campaign: scenario dynamics[%d] at_sec %g is beyond the campaign duration %gs (the file sets no duration_sec)", i, ev.AtSec, eff)
-				}
-			}
-		}
 		for _, ax := range s.Axes {
-			switch ax.Name {
-			case "topology", "hops", "nodes":
+			if st, ok := scenario.LookupSetting(ax.Name); ok && st.Topology {
 				return nil, fmt.Errorf("campaign: axis %q conflicts with the scenario file (its topology is fixed)", ax.Name)
-			case "rate":
-				// The rate axis rewrites the file's declared flows; with
-				// none declared, the topology's built-in defaults would
-				// run instead and every rate point would be a silent lie.
-				if len(s.Scenario.Flows) == 0 {
-					return nil, fmt.Errorf("campaign: the rate axis needs the scenario file to declare flows explicitly")
-				}
 			}
+			// The rate axis rewrites the file's declared flows; with none
+			// declared, the topology's built-in defaults would run instead
+			// and every rate point would be a silent lie.
+			if ax.Name == "rate" && len(s.Scenario.Flows) == 0 {
+				return nil, fmt.Errorf("campaign: the rate axis needs the scenario file to declare flows explicitly")
+			}
+		}
+		if s.Scenario.Controller != "" && s.sweeps("mode") {
+			return nil, fmt.Errorf("campaign: the mode axis conflicts with the scenario file's controller %q (sweep controller instead)", s.Scenario.Controller)
 		}
 		name := s.Scenario.Name
 		if name == "" {
 			name = s.Scenario.Topology.Kind
 		}
-		mode, err := ParseMode(s.Scenario.Mode)
+		mode, err := scenario.ParseMode(s.Scenario.Mode)
 		if err != nil {
 			return nil, err
-		}
-		if s.Scenario.Controller != "" && s.sweeps("mode") {
-			return nil, fmt.Errorf("campaign: the mode axis conflicts with the scenario file's controller %q (sweep controller instead)", s.Scenario.Controller)
 		}
 		// RateBps 0 marks "rates come from the file" until the rate axis
 		// overrides it.
 		base = Point{Scenario: name, Mode: mode, Controller: s.Scenario.Controller, Routing: s.Scenario.Routing, CWCap: s.Scenario.CWCap}
+		// Trial-build the base point once (no run), as its runs build it:
+		// an invalid file, dynamics events past the campaign duration
+		// (when the file sets none) or naming nodes absent from the
+		// topology surface here as an error, not inside a pool worker.
+		_, durSec := s.effective()
+		trial, err := pointSpec(s, base, 1, durSec)
+		if err == nil {
+			_, err = trial.Build()
+		}
+		if err != nil {
+			return nil, err
+		}
 	}
 	points := []Point{base}
 	for _, ax := range s.Axes {
@@ -459,6 +397,11 @@ func (s Spec) Enumerate() ([]Point, error) {
 		points = next
 	}
 	for i := range points {
+		if s.Scenario == nil {
+			if err := points[i].topology().Validate(); err != nil {
+				return nil, err
+			}
+		}
 		points[i].Index = i
 		points[i].Label = points[i].makeLabel()
 	}
@@ -751,27 +694,63 @@ func assemble(spec Spec, points []Point, reps int, runs []RunResult) *Result {
 	return res
 }
 
+// topology is the built-in network a point without a scenario file runs.
+func (p Point) topology() scenario.Topology {
+	side := p.gridSide()
+	return scenario.Topology{Kind: p.Topology, Hops: p.Hops, Width: side, Height: side, Nodes: p.Nodes}
+}
+
+// pointSpec turns one replication of a point into the scenario it runs:
+// the campaign's scenario file, cloned, or a spec of the point's
+// built-in topology, with the point's settings applied through the
+// scenario setting table. A file's own duration wins over durSec.
+func pointSpec(spec Spec, p Point, seed int64, durSec float64) (*scenario.Spec, error) {
+	s := &scenario.Spec{Topology: p.topology()}
+	if spec.Scenario != nil {
+		s = spec.Scenario.Clone()
+	}
+	set := map[string]string{
+		"mode": p.Mode.ControllerName(), // "" is plain 802.11
+		"cap":  strconv.Itoa(p.CWCap),
+		"seed": strconv.FormatInt(seed, 10),
+	}
+	num := func(name string, v float64) {
+		if v > 0 {
+			set[name] = strconv.FormatFloat(v, 'g', -1, 64)
+		}
+	}
+	str := func(name, v string) {
+		if v != "" {
+			set[name] = v
+		}
+	}
+	if s.DurationSec <= 0 {
+		num("duration", durSec)
+	}
+	str("controller", p.Controller)
+	str("routing", p.Routing)
+	str("mobility", p.Mobility)
+	if p.Mobility != "off" { // a static point ignores the speed and pause axes
+		num("speed", p.SpeedMps)
+		num("pause", p.PauseSec)
+	}
+	if p.Clients > 0 {
+		set["clients"] = strconv.Itoa(p.Clients)
+	}
+	num("rate", p.RateBps) // 0 on file points: the file's rates stand
+	return s, s.Apply(set)
+}
+
 func runOne(spec Spec, p Point, rep int, durSec float64) RunResult {
 	seed := DeriveSeed(spec.BaseSeed, p.Label, rep)
-	cfg := ezflow.DefaultConfig()
-	cfg.Seed = seed
-	cfg.Duration = ezflow.Time(durSec * float64(ezflow.Second))
-	cfg.Mode = p.Mode
-	cfg.MAC.HardwareCWCap = p.CWCap
-	switch p.Controller {
-	case "":
-		// Mode drives the control plane (the legacy wrappers).
-	case "802.11":
-		cfg.Mode = ezflow.Mode80211 // the raw baseline, pinned explicitly
-	default:
-		cfg.Controller = p.Controller
+	s, err := pointSpec(spec, p, seed, durSec)
+	if err != nil {
+		panic(err) // the isolation layer records a failed run
 	}
-	if p.Routing != "" {
-		cfg.Routing = p.Routing
+	sc, err := s.Build()
+	if err != nil {
+		panic(err)
 	}
-	applyMobilityWorkload(spec, p, &cfg)
-
-	sc := buildScenario(spec, p, cfg)
 	applyAxisFaults(sc, p)
 	if spec.Obs {
 		sc.EnableObs(obs.Config{Metrics: true, FlightRecorder: 4096})
@@ -818,119 +797,6 @@ func runOne(spec Spec, p Point, rep int, durSec float64) RunResult {
 		}
 	}
 	return rr
-}
-
-func buildScenario(spec Spec, p Point, cfg ezflow.Config) *ezflow.Scenario {
-	if spec.Scenario != nil {
-		s := spec.Scenario
-		// The scenario file is the experiment definition: its duration
-		// wins over the campaign-level default when it sets one.
-		if s.DurationSec > 0 {
-			cfg.Duration = ezflow.Time(s.DurationSec * float64(ezflow.Second))
-		}
-		cfg.WarmupSkip = ezflow.Time(s.WarmupSec * float64(ezflow.Second))
-		cfg.RecoveryTolerance = s.RecoveryTolerance
-		// cfg.MAC.HardwareCWCap already carries the file's cap: Enumerate
-		// seeded the base point from s.CWCap, and the cap axis overrides it.
-		flows := s.FlowSpecs()
-		if spec.sweeps("rate") {
-			for i := range flows {
-				flows[i].RateBps = p.RateBps
-			}
-		}
-		sc, err := s.BuildWith(cfg, flows)
-		if err != nil {
-			panic(err)
-		}
-		return sc
-	}
-	rate := p.RateBps
-	switch p.Topology {
-	case "testbed":
-		return ezflow.NewTestbed(cfg,
-			ezflow.FlowSpec{Flow: 1, RateBps: rate},
-			ezflow.FlowSpec{Flow: 2, RateBps: rate})
-	case "scenario1":
-		return ezflow.NewScenario1(cfg,
-			ezflow.FlowSpec{Flow: 1, RateBps: rate},
-			ezflow.FlowSpec{Flow: 2, RateBps: rate})
-	case "scenario2":
-		return ezflow.NewScenario2(cfg,
-			ezflow.FlowSpec{Flow: 1, RateBps: rate},
-			ezflow.FlowSpec{Flow: 2, RateBps: rate},
-			ezflow.FlowSpec{Flow: 3, RateBps: rate})
-	case "tree":
-		return ezflow.NewTree(3, 2, cfg)
-	case "grid":
-		side := p.gridSide()
-		return ezflow.NewGrid(side, side, cfg,
-			ezflow.FlowSpec{Flow: 1, RateBps: rate},
-			ezflow.FlowSpec{Flow: 2, RateBps: rate})
-	case "random":
-		// Placement is seeded by the replication's run seed (already in
-		// cfg.Seed), so each replication samples a fresh connected
-		// deployment while staying fully reproducible.
-		return ezflow.NewRandom(p.Nodes, 0, cfg,
-			ezflow.FlowSpec{Flow: 1, RateBps: rate})
-	default:
-		return ezflow.NewChain(p.Hops, cfg, ezflow.FlowSpec{Flow: 1, RateBps: rate})
-	}
-}
-
-// applyMobilityWorkload resolves the mobility/workload axes into the
-// run config. A point's model wins over the scenario file's mobility
-// block ("off" suppresses it outright); speed/pause overrides apply to
-// whichever base is active; a clients override rewrites the file's
-// workload population, or synthesizes an always-on downlink one for
-// campaigns without a file. Points setting none of the fields leave the
-// config untouched — the file's blocks flow through BuildWith exactly
-// as before the axes existed.
-func applyMobilityWorkload(spec Spec, p Point, cfg *ezflow.Config) {
-	// fileBase resolves the scenario file's mobility block once: a swept
-	// model inherits the file's tuned options (speed, pause, tick, pins)
-	// rather than resetting them to model defaults. Enumerate vetted the
-	// block, so an error here cannot happen outside a hand-built Spec;
-	// the run isolation layer turns the panic into a failed run.
-	fileBase := func() *mobility.Config {
-		if spec.Scenario == nil {
-			return nil
-		}
-		mc, err := spec.Scenario.MobilityConfig()
-		if err != nil {
-			panic(err)
-		}
-		return mc
-	}
-	var base *mobility.Config
-	switch {
-	case p.Mobility == "off":
-		cfg.Mobility = &mobility.Config{Model: "off"}
-	case p.Mobility != "":
-		base = fileBase()
-		if base == nil {
-			base = &mobility.Config{}
-		}
-		base.Model = p.Mobility
-	case p.SpeedMps > 0 || p.PauseSec > 0:
-		base = fileBase()
-	}
-	if base != nil {
-		if p.SpeedMps > 0 {
-			base.Opts.SpeedMps = p.SpeedMps
-		}
-		if p.PauseSec > 0 {
-			base.Opts.PauseSec = p.PauseSec
-		}
-		cfg.Mobility = base
-	}
-	if p.Clients > 0 {
-		w := &ezflow.WorkloadSpec{Clients: p.Clients}
-		if spec.Scenario != nil && spec.Scenario.Workload != nil {
-			w = spec.Scenario.WorkloadSpec()
-			w.Clients = p.Clients
-		}
-		cfg.Workload = w
-	}
 }
 
 // applyAxisFaults layers the flap/churn axes' perturbations onto a built

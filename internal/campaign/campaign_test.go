@@ -54,10 +54,42 @@ func TestParseSweep(t *testing.T) {
 	if len(ax.Values) != 3 || ax.Values[2] != "penalty" {
 		t.Errorf("list parse: %+v", ax)
 	}
-	for _, bad := range []string{"hops", "bogus=1", "hops=8..2", "mode="} {
+	for _, bad := range []string{"hops", "bogus=1", "hops=8..2", "mode=",
+		"hops=1..2000000000", "hops=-9223372036854775808..9223372036854775807"} {
 		if _, err := ParseSweep(bad); err == nil {
 			t.Errorf("ParseSweep(%q) did not fail", bad)
 		}
+	}
+}
+
+func mustSweep(t *testing.T, s string) Axis {
+	t.Helper()
+	ax, err := ParseSweep(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ax
+}
+
+// TestEnumerateBounds pins the size bounds ezcampaign and ezserve
+// share: points x reps over MaxRuns, and built-in topologies over
+// scenario.MaxNodes nodes, fail before any point is built.
+func TestEnumerateBounds(t *testing.T) {
+	for name, spec := range map[string]Spec{
+		"reps":         {Reps: MaxRuns + 1},
+		"grid x reps":  {Axes: []Axis{{Name: "hops", Values: []string{"2", "3"}}}, Reps: MaxRuns/2 + 1},
+		"axis product": {Axes: []Axis{mustSweep(t, "cap=0..999"), mustSweep(t, "rate=1..1000")}},
+		"grid side":    {Axes: []Axis{{Name: "topology", Values: []string{"grid"}}, {Name: "hops", Values: []string{"65"}}}},
+		"chain":        {Axes: []Axis{{Name: "hops", Values: []string{"5000"}}}},
+		"disk":         {Axes: []Axis{{Name: "topology", Values: []string{"random"}}, {Name: "nodes", Values: []string{"5000"}}}},
+	} {
+		if _, err := spec.Enumerate(); err == nil {
+			t.Errorf("%s: Enumerate accepted an oversized campaign", name)
+		}
+	}
+	ok := Spec{Axes: []Axis{{Name: "topology", Values: []string{"grid"}}, {Name: "hops", Values: []string{"64"}}}, Reps: 2}
+	if _, err := ok.Enumerate(); err != nil {
+		t.Errorf("64x64 grid at the node bound: %v", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -102,59 +103,65 @@ func TestEnumerateSpeedNeedsMobility(t *testing.T) {
 	}
 }
 
-// TestApplyMobilityWorkload exercises the axis-resolution semantics
-// directly: off suppresses the file block, a swept model inherits the
-// file's tuned options, speed/pause patch whichever base is active, and
-// a clients override rewrites the file workload (or synthesizes one).
+// TestApplyMobilityWorkload exercises the axis-resolution semantics of
+// the spec a point runs: off drops the file block, a swept model
+// inherits the file's tuned options, speed/pause patch whichever base is
+// active, and a clients override rewrites the file workload (or
+// synthesizes one). The campaign's own file is never modified.
 func TestApplyMobilityWorkload(t *testing.T) {
 	file := parseMobileAxisScenario(t)
+	run := func(t *testing.T, spec Spec, p Point) *scenario.Spec {
+		t.Helper()
+		s, err := pointSpec(spec, p, 1, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if file.Mobility.Model != "waypoint" || file.Mobility.SpeedMps != 9 || file.Workload.Clients != 4 {
+			t.Fatalf("pointSpec modified the campaign's file: %+v %+v", file.Mobility, file.Workload)
+		}
+		return s
+	}
 
 	t.Run("untouched", func(t *testing.T) {
-		var cfg ezflow.Config
-		applyMobilityWorkload(Spec{Scenario: file}, Point{}, &cfg)
-		if cfg.Mobility != nil || cfg.Workload != nil {
-			t.Error("axis-free point touched the config; the file block must flow through BuildWith")
+		s := run(t, Spec{Scenario: file}, Point{})
+		if !reflect.DeepEqual(s.Mobility, file.Mobility) || !reflect.DeepEqual(s.Workload, file.Workload) {
+			t.Errorf("axis-free point changed the file's blocks: %+v %+v", s.Mobility, s.Workload)
 		}
 	})
 	t.Run("off-suppresses-file", func(t *testing.T) {
-		var cfg ezflow.Config
-		applyMobilityWorkload(Spec{Scenario: file}, Point{Mobility: "off"}, &cfg)
-		if cfg.Mobility == nil || cfg.Mobility.Model != "off" {
-			t.Errorf("off point got %+v", cfg.Mobility)
+		s := run(t, Spec{Scenario: file}, Point{Mobility: "off", SpeedMps: 4})
+		if s.Mobility != nil {
+			t.Errorf("off point kept %+v", s.Mobility)
 		}
 	})
 	t.Run("model-inherits-file-opts", func(t *testing.T) {
-		var cfg ezflow.Config
-		applyMobilityWorkload(Spec{Scenario: file}, Point{Mobility: "waypoint"}, &cfg)
-		if cfg.Mobility == nil || cfg.Mobility.Opts.SpeedMps != 9 || cfg.Mobility.Opts.PauseSec != 3 {
-			t.Errorf("swept model lost the file's tuned opts: %+v", cfg.Mobility)
+		s := run(t, Spec{Scenario: file}, Point{Mobility: "waypoint"})
+		if s.Mobility == nil || s.Mobility.SpeedMps != 9 || s.Mobility.PauseSec != 3 || s.Mobility.TickSec != 0.25 {
+			t.Errorf("swept model lost the file's tuned opts: %+v", s.Mobility)
 		}
 	})
 	t.Run("speed-overrides-file", func(t *testing.T) {
-		var cfg ezflow.Config
-		applyMobilityWorkload(Spec{Scenario: file}, Point{SpeedMps: 2, PauseSec: 0.5}, &cfg)
-		if cfg.Mobility == nil || cfg.Mobility.Opts.SpeedMps != 2 || cfg.Mobility.Opts.PauseSec != 0.5 {
-			t.Errorf("speed/pause override: %+v", cfg.Mobility)
+		s := run(t, Spec{Scenario: file}, Point{SpeedMps: 2, PauseSec: 0.5})
+		if s.Mobility == nil || s.Mobility.SpeedMps != 2 || s.Mobility.PauseSec != 0.5 {
+			t.Errorf("speed/pause override: %+v", s.Mobility)
 		}
-		if cfg.Mobility.Model != "waypoint" {
-			t.Errorf("override changed the file's model: %q", cfg.Mobility.Model)
+		if s.Mobility.Model != "waypoint" {
+			t.Errorf("override changed the file's model: %q", s.Mobility.Model)
 		}
 	})
 	t.Run("clients-rewrites-file-workload", func(t *testing.T) {
-		var cfg ezflow.Config
-		applyMobilityWorkload(Spec{Scenario: file}, Point{Clients: 7}, &cfg)
-		if cfg.Workload == nil || cfg.Workload.Clients != 7 {
-			t.Fatalf("clients override: %+v", cfg.Workload)
+		s := run(t, Spec{Scenario: file}, Point{Clients: 7})
+		if s.Workload == nil || s.Workload.Clients != 7 {
+			t.Fatalf("clients override: %+v", s.Workload)
 		}
-		if cfg.Workload.Kind != ezflow.WorkloadUplink || cfg.Workload.OnMeanSec != 2 {
-			t.Errorf("clients override dropped the file's workload shape: %+v", cfg.Workload)
+		if s.Workload.Kind != ezflow.WorkloadUplink || s.Workload.OnMeanSec != 2 {
+			t.Errorf("clients override dropped the file's workload shape: %+v", s.Workload)
 		}
 	})
 	t.Run("clients-synthesizes-without-file", func(t *testing.T) {
-		var cfg ezflow.Config
-		applyMobilityWorkload(Spec{}, Point{Clients: 5}, &cfg)
-		if cfg.Workload == nil || cfg.Workload.Clients != 5 || cfg.Workload.Kind != "" {
-			t.Errorf("synthesized workload: %+v", cfg.Workload)
+		s := run(t, Spec{}, Point{Topology: "grid", Hops: 3, Clients: 5})
+		if s.Workload == nil || s.Workload.Clients != 5 || s.Workload.Kind != "" {
+			t.Errorf("synthesized workload: %+v", s.Workload)
 		}
 	})
 }

@@ -29,10 +29,7 @@ func (s ReportSink) Emit(r *Result) error {
 	if name == "" {
 		name = "campaign"
 	}
-	reps := r.Spec.Reps
-	if reps <= 0 {
-		reps = 1
-	}
+	reps, _ := r.Spec.effective()
 	if _, err := fmt.Fprintf(s.W, "=== %s ===\n%d points x %d reps = %d runs",
 		name, len(r.Points), reps, len(r.Runs)); err != nil {
 		return err

@@ -13,13 +13,13 @@ import (
 )
 
 func TestRegistry(t *testing.T) {
-	names := Names()
+	names := Registry.Names()
 	for _, want := range []string{"waypoint", "trace"} {
 		if !slices.Contains(names, want) {
 			t.Fatalf("registry %v missing %q", names, want)
 		}
 	}
-	if _, ok := ByName("nope"); ok {
+	if _, ok := Registry.Lookup("nope"); ok {
 		t.Fatal("ByName should miss unknown models")
 	}
 	if _, err := New("nope", Options{}); err == nil {

@@ -18,7 +18,7 @@ func TestControllerField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg := spec.Config(); cfg.Controller != "backpressure" {
+	if cfg, _ := spec.Config(); cfg.Controller != "backpressure" {
 		t.Errorf("Config().Controller = %q, want backpressure", cfg.Controller)
 	}
 	sc, err := spec.Build()

@@ -3,6 +3,7 @@ package scenario
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -37,6 +38,57 @@ func FuzzParse(f *testing.F) {
 		}
 		if err := s.Validate(); err != nil {
 			t.Fatalf("accepted spec fails re-validation: %v", err)
+		}
+	})
+}
+
+// FuzzApply hammers the setting table, which parses CLI flags and HTTP
+// campaign submissions, with arbitrary (name, value) pairs applied to
+// the example specs: Apply must return an error or leave a spec that
+// passes Validate, must never panic, and must never touch the spec it
+// was given a clone of.
+func FuzzApply(f *testing.F) {
+	specs := []*Spec{
+		{Topology: Topology{Kind: "chain"}, Mode: "ezflow"},
+		{Topology: Topology{Kind: "tree"}},
+		{Topology: Topology{Kind: "grid", Width: 1, Height: 3}},
+	}
+	for _, p := range []string{
+		filepath.Join("..", "..", "examples", "linkfailure", "linkfailure.json"),
+		filepath.Join("..", "..", "examples", "routing", "randomdisk.json"),
+		filepath.Join("..", "..", "examples", "mobility", "waypoint.json"),
+	} {
+		s, err := Load(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		specs = append(specs, s)
+	}
+	for _, st := range Settings {
+		f.Add(st.Name, "1", "mobility", "waypoint")
+	}
+	f.Add("speed", "3", "mobility", "off")
+	f.Add("controller", "802.11", "mode", "penalty")
+	f.Add("rate", "5e5", "grid-w", "2")
+	f.Add("duration", "NaN", "hops", "9223372036854775807")
+	f.Add("nodes", "4097", "topology", "random")
+	f.Fuzz(func(t *testing.T, name, value, name2, value2 string) {
+		for _, orig := range specs {
+			before := orig.Clone()
+			s := orig.Clone()
+			err := s.Apply(map[string]string{name: value, name2: value2})
+			if !reflect.DeepEqual(orig, before) {
+				t.Fatalf("Apply(%s=%q, %s=%q) modified the spec it cloned", name, value, name2, value2)
+			}
+			if err != nil {
+				continue
+			}
+			if err := s.Validate(); err != nil {
+				t.Fatalf("Apply(%s=%q, %s=%q) accepted a spec that fails Validate: %v", name, value, name2, value2, err)
+			}
+			if _, err := s.Config(); err != nil {
+				t.Fatalf("Apply(%s=%q, %s=%q): Config: %v", name, value, name2, value2, err)
+			}
 		}
 	})
 }

@@ -18,7 +18,7 @@ func TestRoutingField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg := spec.Config(); cfg.Routing != "etx" {
+	if cfg, _ := spec.Config(); cfg.Routing != "etx" {
 		t.Errorf("Config().Routing = %q, want etx", cfg.Routing)
 	}
 	sc, err := spec.Build()

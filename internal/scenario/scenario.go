@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"ezflow"
@@ -51,12 +52,12 @@ type Spec struct {
 	Mode string `json:"mode,omitempty"`
 	// Controller selects a congestion controller from the internal/ctl
 	// registry by name (ezflow | backpressure | feedback | staticcap |
-	// penalty | diffq — see ctl.Names()). It is mutually exclusive with
+	// penalty | diffq — see ctl.Registry). It is mutually exclusive with
 	// Mode: a spec sets one or the other, so a file can never claim two
 	// control planes at once.
 	Controller string `json:"controller,omitempty"`
 	// Routing selects a routing strategy from the internal/routing
-	// registry by name (bfs | etx | kshortest — see routing.Names()).
+	// registry by name (bfs | etx | kshortest — see routing.Registry).
 	// Empty or "bfs" keeps the default minimum-hop routes exactly as the
 	// topology builder installed them; any other strategy recomputes every
 	// route at wiring (see ezflow.Config.Routing).
@@ -80,8 +81,8 @@ type Spec struct {
 	// to files written before the block existed.
 	Mobility *Mobility `json:"mobility,omitempty"`
 	// Workload expands a gateway-scale client flow population in addition
-	// to Flows; see ezflow.WorkloadSpec.
-	Workload *Workload `json:"workload,omitempty"`
+	// to Flows; see ezflow.WorkloadSpec for its fields.
+	Workload *ezflow.WorkloadSpec `json:"workload,omitempty"`
 	// Dynamics is the perturbation timeline, in any order (events are
 	// scheduled by their at_sec).
 	Dynamics []Event `json:"dynamics,omitempty"`
@@ -107,27 +108,6 @@ type Mobility struct {
 	TraceFile string `json:"trace_file,omitempty"`
 	// Seed overrides the run seed for trajectory generation.
 	Seed int64 `json:"seed,omitempty"`
-}
-
-// Workload is the declarative form of ezflow.WorkloadSpec.
-type Workload struct {
-	// Kind: downlink (default) | uplink.
-	Kind string `json:"kind,omitempty"`
-	// Clients is the population size (required, > 0).
-	Clients int `json:"clients"`
-	// RateBps is the per-client rate while active (default 200 kb/s).
-	RateBps float64 `json:"rate_bps,omitempty"`
-	// Bytes is the packet size (default 1028).
-	Bytes int `json:"bytes,omitempty"`
-	// Gateway is the gateway node id (default 0).
-	Gateway int `json:"gateway,omitempty"`
-	// OnMeanSec/OffMeanSec select exponential on/off bursty clients.
-	OnMeanSec  float64 `json:"on_mean_sec,omitempty"`
-	OffMeanSec float64 `json:"off_mean_sec,omitempty"`
-	// ArrivalPerSec/HoldMeanSec select a Poisson arrival/departure
-	// population.
-	ArrivalPerSec float64 `json:"arrival_per_sec,omitempty"`
-	HoldMeanSec   float64 `json:"hold_mean_sec,omitempty"`
 }
 
 // Topology selects one of the repository's network builders.
@@ -213,9 +193,8 @@ var eventKinds = map[string]dynamics.Kind{
 
 // ParseMode maps the scenario-file and CLI spellings of the four control
 // modes; the empty string selects plain 802.11 (the default). It is the
-// single spelling table — campaign.ParseMode delegates here, so a
-// scenario file can never parse under one CLI and be rejected by the
-// other.
+// single spelling table, so a scenario file can never parse under one
+// CLI and be rejected by the other.
 func ParseMode(s string) (ezflow.Mode, error) {
 	switch strings.ToLower(s) {
 	case "", "802.11", "80211", "plain":
@@ -254,16 +233,30 @@ func Parse(data []byte) (*Spec, error) {
 	return &s, nil
 }
 
+// Clone returns a copy of s that settings can be applied to without
+// touching s: the flows and the mobility and workload blocks are copied.
+func (s *Spec) Clone() *Spec {
+	c := *s
+	c.Flows = slices.Clone(s.Flows)
+	c.Mobility, c.Workload = clonePtr(s.Mobility), clonePtr(s.Workload)
+	return &c
+}
+
+// clonePtr returns a shallow copy of *p, or nil.
+func clonePtr[T any](p *T) *T {
+	if p == nil {
+		return nil
+	}
+	c := *p
+	return &c
+}
+
 // Validate checks everything that can be checked without building the
 // mesh (node-id existence is validated at Build time by the dynamics
 // engine, which knows the topology).
 func (s *Spec) Validate() error {
-	switch s.Topology.Kind {
-	case "chain", "testbed", "scenario1", "scenario2", "tree", "grid", "random":
-	case "":
-		return fmt.Errorf("scenario: topology.kind is required")
-	default:
-		return fmt.Errorf("scenario: unknown topology kind %q", s.Topology.Kind)
+	if err := s.Topology.Validate(); err != nil {
+		return err
 	}
 	if _, err := ParseMode(s.Mode); err != nil {
 		return err
@@ -272,21 +265,13 @@ func (s *Spec) Validate() error {
 		if s.Mode != "" {
 			return fmt.Errorf("scenario: mode %q and controller %q are mutually exclusive (set one)", s.Mode, s.Controller)
 		}
-		if _, ok := ctl.ByName(s.Controller); !ok {
-			return fmt.Errorf("scenario: unknown controller %q (registered: %s)", s.Controller, ctl.NamesList())
+		if _, err := ctl.Registry.Get(s.Controller); err != nil {
+			return fmt.Errorf("scenario: %w", err)
 		}
 	}
 	if s.Routing != "" {
-		if _, ok := routing.ByName(s.Routing); !ok {
-			return fmt.Errorf("scenario: unknown routing strategy %q (registered: %s)", s.Routing, routing.NamesList())
-		}
-	}
-	if s.Topology.EdgeLoss != 0 {
-		if s.Topology.Kind != "random" {
-			return fmt.Errorf("scenario: edge_loss only applies to the random topology (kind %q)", s.Topology.Kind)
-		}
-		if s.Topology.EdgeLoss < 0 || s.Topology.EdgeLoss >= 1 {
-			return fmt.Errorf("scenario: edge_loss %g out of [0,1)", s.Topology.EdgeLoss)
+		if _, err := routing.Registry.Get(s.Routing); err != nil {
+			return fmt.Errorf("scenario: %w", err)
 		}
 	}
 	if s.DurationSec < 0 {
@@ -306,8 +291,8 @@ func (s *Spec) Validate() error {
 		}
 	}
 	if m := s.Mobility; m != nil && !mobility.IsOff(m.Model) {
-		if _, ok := mobility.ByName(m.Model); !ok {
-			return fmt.Errorf("scenario: unknown mobility model %q (registered: %s)", m.Model, mobility.NamesList())
+		if _, err := mobility.Registry.Get(m.Model); err != nil {
+			return fmt.Errorf("scenario: %w", err)
 		}
 		if m.SpeedMps < 0 || m.SpeedMinMps < 0 || m.PauseSec < 0 || m.TickSec < 0 {
 			return fmt.Errorf("scenario: mobility speeds, pause and tick must be >= 0")
@@ -330,7 +315,7 @@ func (s *Spec) Validate() error {
 		if w.Gateway < 0 {
 			return fmt.Errorf("scenario: workload gateway %d is negative", w.Gateway)
 		}
-		if err := w.spec().Validate(); err != nil {
+		if err := w.Validate(); err != nil {
 			return fmt.Errorf("scenario: %w", err)
 		}
 	}
@@ -352,8 +337,8 @@ func (s *Spec) Validate() error {
 	return nil
 }
 
-// Script converts the spec's dynamics timeline into a dynamics script.
-func (s *Spec) Script() *dynamics.Script {
+// script converts the spec's dynamics timeline into a dynamics script.
+func (s *Spec) script() *dynamics.Script {
 	if len(s.Dynamics) == 0 {
 		return nil
 	}
@@ -377,36 +362,10 @@ func (s *Spec) Script() *dynamics.Script {
 	return sc
 }
 
-// spec converts the declarative workload block into the ezflow form.
-func (w *Workload) spec() *ezflow.WorkloadSpec {
-	return &ezflow.WorkloadSpec{
-		Kind:          w.Kind,
-		Clients:       w.Clients,
-		RateBps:       w.RateBps,
-		Bytes:         w.Bytes,
-		Gateway:       ezflow.NodeID(w.Gateway),
-		OnMeanSec:     w.OnMeanSec,
-		OffMeanSec:    w.OffMeanSec,
-		ArrivalPerSec: w.ArrivalPerSec,
-		HoldMeanSec:   w.HoldMeanSec,
-	}
-}
-
-// WorkloadSpec resolves the spec's workload block, nil when absent.
-func (s *Spec) WorkloadSpec() *ezflow.WorkloadSpec {
-	if s.Workload == nil {
-		return nil
-	}
-	return s.Workload.spec()
-}
-
-// MobilityConfig resolves the spec's mobility block into a runnable
+// mobilityConfig resolves the mobility block into a runnable
 // configuration, loading the trace file when the trace model is
-// selected. It returns nil for a static spec. Build and BuildWith call
-// it whenever the caller's config leaves Mobility nil, mirroring the
-// dynamics timeline.
-func (s *Spec) MobilityConfig() (*mobility.Config, error) {
-	m := s.Mobility
+// selected. It returns nil for a static spec.
+func (m *Mobility) mobilityConfig() (*mobility.Config, error) {
 	if m == nil || mobility.IsOff(m.Model) {
 		return nil, nil
 	}
@@ -436,12 +395,11 @@ func (s *Spec) MobilityConfig() (*mobility.Config, error) {
 	return cfg, nil
 }
 
-// Config resolves the spec's shared run parameters into an ezflow.Config.
-// The mobility and workload blocks are NOT resolved here — Build and
-// BuildWith attach them (trace-file loading can fail, and the campaign
-// layer assembles its own config) — so callers composing a config by
-// hand should go through BuildWith.
-func (s *Spec) Config() ezflow.Config {
+// Config resolves the spec into the run configuration Build wires: seed,
+// horizon, control plane, routing, MAC cap, statistics window, and the
+// dynamics, mobility and workload blocks. Loading a mobility trace file
+// is what can fail.
+func (s *Spec) Config() (ezflow.Config, error) {
 	cfg := ezflow.DefaultConfig()
 	if s.Seed != 0 {
 		cfg.Seed = s.Seed
@@ -455,14 +413,22 @@ func (s *Spec) Config() ezflow.Config {
 	cfg.MAC.HardwareCWCap = s.CWCap
 	cfg.WarmupSkip = sim.FromSeconds(s.WarmupSec)
 	cfg.RecoveryTolerance = s.RecoveryTolerance
-	cfg.Dynamics = s.Script()
-	return cfg
+	cfg.Dynamics = s.script()
+	cfg.Workload = clonePtr(s.Workload) // a run never shares a spec's block
+	var err error
+	cfg.Mobility, err = s.Mobility.mobilityConfig()
+	return cfg, err
 }
 
-// FlowSpecs converts the spec's flows into ezflow flow specs.
-func (s *Spec) FlowSpecs() []ezflow.FlowSpec {
-	out := make([]ezflow.FlowSpec, 0, len(s.Flows))
-	for _, f := range s.Flows {
+// flowSpecs converts the spec's flows, or the topology's default flows
+// when it declares none, into ezflow flow specs.
+func (s *Spec) flowSpecs() []ezflow.FlowSpec {
+	flows := s.Flows
+	if len(flows) == 0 {
+		flows = s.Topology.defaultFlows()
+	}
+	out := make([]ezflow.FlowSpec, 0, len(flows))
+	for _, f := range flows {
 		rate := f.RateBps
 		if rate == 0 {
 			rate = 2e6
@@ -479,89 +445,29 @@ func (s *Spec) FlowSpecs() []ezflow.FlowSpec {
 	return out
 }
 
-// Build wires the spec into a runnable scenario. Topology construction
-// panics (disconnected placements, routes through unknown nodes, dynamics
-// events naming absent nodes) are converted into errors.
+// Build wires the spec into a runnable scenario.
 func (s *Spec) Build() (*ezflow.Scenario, error) {
-	return s.BuildWith(s.Config(), s.FlowSpecs())
+	cfg, err := s.Config()
+	if err != nil {
+		return nil, err
+	}
+	return s.BuildWith(cfg)
 }
 
-// BuildWith wires the spec's topology around a caller-resolved config and
-// flow list — the campaign layer uses it to sweep mode/rate/cap/seed axes
-// over one scenario file. The spec's own mode/seed/duration fields are
-// ignored in favour of cfg; its dynamics timeline still applies whenever
-// the caller left cfg.Dynamics nil.
-func (s *Spec) BuildWith(cfg ezflow.Config, flows []ezflow.FlowSpec) (sc *ezflow.Scenario, err error) {
+// BuildWith wires the spec's topology and flows around cfg, a config
+// resolved by Config and then adjusted — ezsim sets the penalty factor,
+// which has no spec field. Topology construction panics (disconnected
+// placements, routes through unknown nodes, dynamics events naming absent
+// nodes) are converted into errors.
+func (s *Spec) BuildWith(cfg ezflow.Config) (sc *ezflow.Scenario, err error) {
+	kind, ok := topologies[s.Topology.Kind]
+	if !ok {
+		return nil, fmt.Errorf("scenario: unknown topology kind %q", s.Topology.Kind)
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			sc, err = nil, fmt.Errorf("scenario: building %q: %v", s.Topology.Kind, r)
 		}
 	}()
-	if cfg.Dynamics == nil {
-		cfg.Dynamics = s.Script()
-	}
-	if cfg.Mobility == nil {
-		mc, merr := s.MobilityConfig()
-		if merr != nil {
-			return nil, merr
-		}
-		cfg.Mobility = mc
-	}
-	if cfg.Workload == nil {
-		cfg.Workload = s.WorkloadSpec()
-	}
-	t := s.Topology
-	switch t.Kind {
-	case "chain":
-		hops := t.Hops
-		if hops <= 0 {
-			hops = 4
-		}
-		if len(flows) == 0 {
-			flows = []ezflow.FlowSpec{{Flow: 1, RateBps: 2e6}}
-		}
-		sc = ezflow.NewChain(hops, cfg, flows...)
-	case "testbed":
-		if len(flows) == 0 {
-			flows = []ezflow.FlowSpec{{Flow: 1, RateBps: 2e6}, {Flow: 2, RateBps: 2e6}}
-		}
-		sc = ezflow.NewTestbed(cfg, flows...)
-	case "scenario1":
-		if len(flows) == 0 {
-			flows = []ezflow.FlowSpec{{Flow: 1, RateBps: 2e6}, {Flow: 2, RateBps: 2e6}}
-		}
-		sc = ezflow.NewScenario1(cfg, flows...)
-	case "scenario2":
-		if len(flows) == 0 {
-			flows = []ezflow.FlowSpec{{Flow: 1, RateBps: 2e6}, {Flow: 2, RateBps: 2e6}, {Flow: 3, RateBps: 2e6}}
-		}
-		sc = ezflow.NewScenario2(cfg, flows...)
-	case "tree":
-		b, d := t.Branching, t.Depth
-		if b <= 0 {
-			b = 3
-		}
-		if d <= 0 {
-			d = 2
-		}
-		sc = ezflow.NewTree(b, d, cfg, flows...)
-	case "grid":
-		w, h := t.Width, t.Height
-		if w <= 0 {
-			w = 4
-		}
-		if h <= 0 {
-			h = 4
-		}
-		sc = ezflow.NewGrid(w, h, cfg, flows...)
-	case "random":
-		n := t.Nodes
-		if n <= 0 {
-			n = 12
-		}
-		sc = ezflow.NewRandomLossy(n, t.Radius, t.EdgeLoss, cfg, flows...)
-	default:
-		return nil, fmt.Errorf("scenario: unknown topology kind %q", t.Kind)
-	}
-	return sc, nil
+	return kind.build(s.Topology.resolved(), cfg, s.flowSpecs()), nil
 }

@@ -109,6 +109,11 @@ func TestParseErrors(t *testing.T) {
 		"zero flow id":  `{"topology": {"kind": "chain"}, "flows": [{"id": 0}]}`,
 		"bad event":     `{"topology": {"kind": "chain"}, "dynamics": [{"at_sec": 1, "kind": "meteor"}]}`,
 		"late event":    `{"topology": {"kind": "chain"}, "duration_sec": 10, "dynamics": [{"at_sec": 20, "kind": "link-up"}]}`,
+		"huge tree":     `{"topology": {"kind": "tree", "depth": 20}}`,
+		"huge grid":     `{"topology": {"kind": "grid", "width": 100000, "height": 100000}}`,
+		"huge disk":     `{"topology": {"kind": "random", "nodes": 5000}}`,
+		"huge chain":    `{"topology": {"kind": "chain", "hops": 9223372036854775807}}`,
+		"1x1 grid":      `{"topology": {"kind": "grid", "width": 1, "height": 1}}`,
 	}
 	for name, src := range cases {
 		if _, err := scenario.Parse([]byte(src)); err == nil {

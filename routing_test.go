@@ -96,7 +96,7 @@ func TestRoutingUnknownPanics(t *testing.T) {
 // require a valid repaired route through the other relay, with the
 // EZ-Flow deployment extended over the repair-created queue.
 func TestRoutingRepairPerStrategy(t *testing.T) {
-	for _, name := range ezflow.Routings() {
+	for _, name := range ezflow.Routings.Names() {
 		cfg := ezflow.DefaultConfig()
 		cfg.Mode = ezflow.ModeEZFlow
 		cfg.Duration = 5 * ezflow.Second
@@ -178,9 +178,9 @@ func TestRoutingRepairFailureThenRecovery(t *testing.T) {
 // TestRoutingReExports smoke-tests the root-package registry surface the
 // CLIs embed in their usage strings.
 func TestRoutingReExports(t *testing.T) {
-	names := ezflow.Routings()
+	names := ezflow.Routings.Names()
 	if len(names) < 3 {
-		t.Fatalf("Routings() = %v, want at least bfs, etx, kshortest", names)
+		t.Fatalf("Routings.Names() = %v, want at least bfs, etx, kshortest", names)
 	}
 	for _, want := range []string{"bfs", "etx", "kshortest"} {
 		found := false
@@ -190,10 +190,10 @@ func TestRoutingReExports(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Errorf("Routings() misses %q: %v", want, names)
+			t.Errorf("Routings.Names() misses %q: %v", want, names)
 		}
 	}
-	if !strings.Contains(ezflow.RoutingUsage(), "etx") {
-		t.Errorf("RoutingUsage() misses etx:\n%s", ezflow.RoutingUsage())
+	if !strings.Contains(ezflow.Routings.Usage(), "etx") {
+		t.Errorf("Routings.Usage() misses etx:\n%s", ezflow.Routings.Usage())
 	}
 }
