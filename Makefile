@@ -58,15 +58,16 @@ staticcheck:
 # (key derivation and a store Put+Get round trip — the fixed overhead
 # a cache hit pays to skip a simulation), and the mobility path (a
 # single incremental phy.MoveNode re-index, pinned at zero steady-state
-# allocs, plus a full 200-node waypoint disk run) — gates them against
-# the committed baseline (BENCH_PR8.json; >25% allocs/op regression
-# fails, zero-alloc pins fail on any alloc, ns/op gets a wider 2x band
-# because the archived baseline was recorded on a different host),
-# archives the fresh run as BENCH_PR10.json (uploaded as a CI artifact,
-# committed when the recorded trajectory changes), and prints the
-# speedup table.
+# allocs, plus a full 200-node waypoint disk run), and one dynamics
+# repair round over a 17-flow 200-node disk (BenchmarkRerouteAll) —
+# gates them against the committed baseline (BENCH_PR8.json; >25%
+# allocs/op regression fails, zero-alloc pins fail on any alloc, ns/op
+# gets a wider 2x band because the archived baseline was recorded on a
+# different host), archives the fresh run as BENCH_PR10.json (uploaded
+# as a CI artifact, committed when the recorded trajectory changes), and
+# prints the speedup table.
 bench:
-	$(GO) test -bench='^BenchmarkChainRun|^BenchmarkEngineThroughput|^BenchmarkGrid100Run$$|^BenchmarkRandomDisk200Run$$|^BenchmarkDiskScaling$$|^BenchmarkRouting|^BenchmarkDiskScalingRouting$$|^BenchmarkWaypointDisk200$$' \
+	$(GO) test -bench='^BenchmarkChainRun|^BenchmarkEngineThroughput|^BenchmarkGrid100Run$$|^BenchmarkRandomDisk200Run$$|^BenchmarkDiskScaling$$|^BenchmarkRouting|^BenchmarkDiskScalingRouting$$|^BenchmarkWaypointDisk200$$|^BenchmarkRerouteAll$$' \
 	    -benchmem -run='^$$' -benchtime=20x . | tee /tmp/bench.out
 	$(GO) test -bench='^BenchmarkEngine' -benchmem -run='^$$' -benchtime=1s \
 	    ./internal/sim | tee -a /tmp/bench.out

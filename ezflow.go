@@ -444,6 +444,11 @@ func defaultFlows(m *mesh.Mesh, flows []FlowSpec) []FlowSpec {
 }
 
 func wire(cfg Config, eng *sim.Engine, m *mesh.Mesh, flows []FlowSpec) *Scenario {
+	// The topology is complete: build the PHY neighbor index now, so set-up
+	// pays for it once and no route computation below (nor the first
+	// transmission) builds it lazily.
+	m.Ch.BuildIndex()
+
 	// Routing strategy, resolved through the internal/routing registry
 	// before anything observes the mesh (controller deployments and
 	// dynamics read the installed routes). The default ("" or "bfs") keeps
@@ -601,13 +606,7 @@ func (sc *Scenario) repairRoutes() {
 		return
 	}
 	m := sc.Mesh
-	usable := func(a, b NodeID) bool {
-		return !m.Node(a).MAC.Down() && !m.Node(b).MAC.Down() &&
-			!m.Ch.LinkDown(a, b) && m.Ch.InTxRange(a, b)
-	}
-	for _, f := range m.Flows() {
-		m.RerouteFlow(f, usable)
-	}
+	m.RerouteAll(m.LinkUsable)
 	if sc.Ctl != nil {
 		sc.Ctl.Extend(m)
 	}

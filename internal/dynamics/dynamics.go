@@ -12,7 +12,8 @@
 // attached, so a dynamics-enabled run remains a pure function of
 // (scenario, seed): same script, same seed, byte-identical results on any
 // worker count. Events that change connectivity can request route repair,
-// a deterministic BFS over the surviving links (mesh.RerouteFlow).
+// a deterministic recomputation over the surviving links with the mesh's
+// routing strategy (mesh.RerouteAll over mesh.LinkUsable).
 //
 // The package deliberately depends only on the mesh/phy/mac/traffic
 // layers, never on the public ezflow package, so the root package can
@@ -182,15 +183,14 @@ type Applied struct {
 	Desc string
 }
 
-// Engine applies a script to a wired scenario. It tracks which links and
-// nodes are currently down so route repair sees the true connectivity,
-// and records the instants of fault events for the stability metrics.
+// Engine applies a script to a wired scenario and records the instants of
+// fault events for the stability metrics. Failures land in the MAC and
+// channel state themselves (MAC.SetDown, Channel.SetLinkDown), which is
+// what route repair's mesh.LinkUsable reads.
 type Engine struct {
 	m       *mesh.Mesh
 	sources map[pkt.FlowID]*traffic.Source
 
-	downLinks map[[2]pkt.NodeID]bool
-	downNodes map[pkt.NodeID]bool
 	savedLoss map[[2]pkt.NodeID]float64
 	relaySeen map[pkt.NodeID]bool
 
@@ -213,8 +213,6 @@ func Attach(m *mesh.Mesh, sources map[pkt.FlowID]*traffic.Source, script *Script
 	e := &Engine{
 		m:         m,
 		sources:   sources,
-		downLinks: make(map[[2]pkt.NodeID]bool),
-		downNodes: make(map[pkt.NodeID]bool),
 		savedLoss: make(map[[2]pkt.NodeID]float64),
 		relaySeen: make(map[pkt.NodeID]bool),
 	}
@@ -341,7 +339,6 @@ func (e *Engine) apply(ev Event) {
 		}
 		e.m.Ch.SetLinkLoss(ev.A, ev.B, ev.Loss)
 	case NodeDown:
-		e.downNodes[ev.Node] = true
 		n := e.m.Node(ev.Node)
 		n.MAC.SetDown(true)
 		if ev.Drop {
@@ -349,7 +346,6 @@ func (e *Engine) apply(ev Event) {
 		}
 		reroute = ev.Reroute
 	case NodeUp:
-		delete(e.downNodes, ev.Node)
 		e.m.Node(ev.Node).MAC.SetDown(false)
 		reroute = ev.Reroute
 	case RegionLoss:
@@ -395,13 +391,6 @@ func (e *Engine) describe(ev Event) string {
 
 // setLink severs or restores both directions of a link.
 func (e *Engine) setLink(a, b pkt.NodeID, down bool) {
-	if down {
-		e.downLinks[[2]pkt.NodeID{a, b}] = true
-		e.downLinks[[2]pkt.NodeID{b, a}] = true
-	} else {
-		delete(e.downLinks, [2]pkt.NodeID{a, b})
-		delete(e.downLinks, [2]pkt.NodeID{b, a})
-	}
 	e.m.Ch.SetLinkDown(a, b, down)
 	e.m.Ch.SetLinkDown(b, a, down)
 }
@@ -452,30 +441,14 @@ func (e *Engine) restoreRegion() {
 	e.savedLoss = make(map[[2]pkt.NodeID]float64)
 }
 
-// Usable reports whether the directed link a->b can carry traffic right
-// now: both endpoints up, the link not severed, and b within a's
-// transmission range. It is the predicate RerouteAll feeds to the mesh's
-// BFS repair.
-func (e *Engine) Usable(a, b pkt.NodeID) bool {
-	return !e.downNodes[a] && !e.downNodes[b] &&
-		!e.downLinks[[2]pkt.NodeID{a, b}] && e.m.Ch.InTxRange(a, b)
-}
-
 // RerouteAll repairs every flow's route against the current connectivity
-// (flows in ascending id order), then fires OnReroute. Flows with no
-// surviving path keep their broken route until connectivity returns.
+// (one mesh.RerouteAll round over mesh.LinkUsable), then fires OnReroute.
+// Flows with no surviving path keep their broken route until
+// connectivity returns.
 func (e *Engine) RerouteAll() {
-	for _, f := range e.m.Flows() {
-		e.m.RerouteFlow(f, e.Usable)
-	}
+	e.m.RerouteAll(e.m.LinkUsable)
 	e.recordRelays()
 	if e.OnReroute != nil {
 		e.OnReroute()
 	}
 }
-
-// NodeIsDown reports whether a node is currently halted.
-func (e *Engine) NodeIsDown(n pkt.NodeID) bool { return e.downNodes[n] }
-
-// LinkIsDown reports whether the directed link a->b is currently severed.
-func (e *Engine) LinkIsDown(a, b pkt.NodeID) bool { return e.downLinks[[2]pkt.NodeID{a, b}] }

@@ -259,24 +259,34 @@ func (m *Mesh) Strategy() routing.Strategy {
 }
 
 // RoutingGraph assembles the read-only topology view routing strategies
-// compute over: ascending node ids, the usable-link predicate (plain
-// transmission range when usable is nil — the build-time connectivity),
-// the channel's calibrated losses, and the live per-link MAC counters.
+// compute over: the channel's ascending node ids, the usable-link
+// predicate (plain transmission range when usable is nil — the
+// build-time connectivity), the channel's calibrated losses, the live
+// per-link MAC counters, and the PHY index's decode-range lists as the
+// candidate successors. usable must admit only decode-range links (as
+// LinkUsable does), so those lists are the ascending superset
+// routing.Graph.Neighbors requires. The graph reads live state, so one
+// graph serves a whole repair round.
 func (m *Mesh) RoutingGraph(usable func(a, b pkt.NodeID) bool) *routing.Graph {
-	ids := make([]pkt.NodeID, 0, len(m.nodes))
-	for id := range m.nodes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	if usable == nil {
 		usable = m.Ch.InTxRange
 	}
 	return &routing.Graph{
-		IDs:      ids,
-		Usable:   usable,
-		LinkLoss: m.Ch.LinkLoss,
-		Measured: m.linkMeasured,
+		IDs:       m.Ch.NodeIDs(),
+		Usable:    usable,
+		LinkLoss:  m.Ch.LinkLoss,
+		Measured:  m.linkMeasured,
+		Neighbors: m.Ch.DecodeNeighbors,
 	}
+}
+
+// LinkUsable reports whether the directed link a->b can carry traffic
+// right now: both MACs up, the link not severed, and b within a's decode
+// range. It is the connectivity predicate of every route repair, scripted
+// (dynamics) or mobility-driven.
+func (m *Mesh) LinkUsable(a, b pkt.NodeID) bool {
+	return !m.nodes[a].MAC.Down() && !m.nodes[b].MAC.Down() &&
+		!m.Ch.LinkDown(a, b) && m.Ch.InTxRange(a, b)
 }
 
 // linkMeasured sums the MAC counters of a's queues draining toward b —
@@ -302,21 +312,35 @@ func (m *Mesh) linkMeasured(a, b pkt.NodeID) (acked, retries uint64, ok bool) {
 
 // RerouteFlow recomputes the flow's path from its source to its
 // destination with the active routing strategy over the links admitted by
-// the usable predicate (typically transmission range minus failed links
-// and halted nodes) and installs the result. Every strategy is
-// deterministic, so repairs are too. It reports whether a path was found;
-// when none exists the previous route stays in place and the failure is
-// counted (RerouteFailures) — traffic stalls at the break until
-// connectivity returns, exactly like a static routing agent that has not
-// re-converged. Endpoints are always considered, even when usable
-// excludes them as relays of other flows.
+// the usable predicate (typically LinkUsable: decode range minus failed
+// links and halted nodes; see RoutingGraph for its contract) and
+// installs the result. Every strategy is deterministic, so repairs are
+// too. It reports whether a path was found; when none exists the previous
+// route stays in place and the failure is counted (RerouteFailures) —
+// traffic stalls at the break until connectivity returns, exactly like a
+// static routing agent that has not re-converged. Endpoints are always
+// considered, even when usable excludes them as relays of other flows.
 func (m *Mesh) RerouteFlow(flow pkt.FlowID, usable func(a, b pkt.NodeID) bool) bool {
+	return m.reroute(m.RoutingGraph(usable), flow)
+}
+
+// RerouteAll is one repair round: RerouteFlow for every installed flow,
+// in ascending id order, over a single routing graph.
+func (m *Mesh) RerouteAll(usable func(a, b pkt.NodeID) bool) {
+	g := m.RoutingGraph(usable)
+	for _, f := range m.Flows() {
+		m.reroute(g, f)
+	}
+}
+
+// reroute is RerouteFlow over an assembled graph.
+func (m *Mesh) reroute(g *routing.Graph, flow pkt.FlowID) bool {
 	route := m.routes[flow]
 	if len(route) < 2 {
 		return false
 	}
 	src, dst := route[0], route[len(route)-1]
-	path, ok := m.Strategy().Route(m.RoutingGraph(usable), flow, src, dst)
+	path, ok := m.Strategy().Route(g, flow, src, dst)
 	if !ok {
 		m.rerouteFailures++
 		return false

@@ -5,9 +5,10 @@
 //
 // Geometry changes only through explicit position updates (phy.MoveNode,
 // driven by the mobility subsystem), so distances, received powers, and
-// the in-CS-range/in-Tx-range predicates are computed once, when the
-// first transmission freezes the topology, and thereafter patched
-// incrementally per move (move.go) instead of rebuilt. The other mutable
+// the in-CS-range/in-Tx-range predicates are computed once, when wiring
+// calls BuildIndex (or, on a bare channel, at the first transmission),
+// and thereafter patched incrementally per move (move.go) instead of
+// rebuilt. The other mutable
 // per-link state — erasure probability and severed flags, which the
 // dynamics subsystem toggles mid-run — is folded into the same records
 // and patched in place by SetLinkLoss/SetLinkDown, so the hot path never
@@ -74,11 +75,12 @@ func (c Config) interferenceRange() float64 {
 
 // buildIndex assigns dense slots in id order and computes every
 // station's neighbor list via a spatial hash, O(N·degree) for spatially
-// bounded deployments. Called lazily by the first transmission after a
-// topology change; it reads the loss/down maps so records are coherent
-// with mutations applied before the freeze. Dense per-slot event state
-// (sensed counts, busy flags, locked receptions) is migrated from the
-// previous slot assignment, so a rebuild between flights is transparent.
+// bounded deployments. Called by BuildIndex, or lazily by the first
+// transmission after a topology change; it reads the loss/down maps so
+// records are coherent with mutations applied before the freeze. Dense
+// per-slot event state (sensed counts, busy flags, locked receptions) is
+// migrated from the previous slot assignment, so a rebuild between
+// flights is transparent.
 func (c *Channel) buildIndex() {
 	n := len(c.order)
 	r := c.cfg.interferenceRange()
@@ -151,6 +153,49 @@ func (c *Channel) buildIndex() {
 	}
 	c.scratch = cand
 	c.indexed = true
+}
+
+// BuildIndex builds the neighbor index now unless it is already current.
+// Wiring calls it once the topology is complete, so setup — not the
+// first transmission or route computation — pays for the build; it is
+// idempotent, and only an AddNode made afterwards brings the lazy
+// rebuild back.
+func (c *Channel) BuildIndex() {
+	if !c.indexed {
+		c.buildIndex()
+	}
+}
+
+// DecodeNeighbors appends to buf the ids of every station within decode
+// range (TxRange) of id, ascending, and returns the extended slice — the
+// stations InTxRange(id, b) admits, read from the neighbor index in
+// O(degree) instead of tested pair by pair. It walks the carrier-sense
+// subsequence, which is ascending by slot (= id) and holds every decode
+// neighbor whenever TxRange <= CSRange; the cached inTx flags are the
+// same Dist <= TxRange comparison InTxRange makes, patched by every
+// MoveNode, so the result is exactly the all-pairs filter. A decode range
+// beyond carrier-sense range falls back to that filter. An unknown id
+// appends nothing.
+func (c *Channel) DecodeNeighbors(id pkt.NodeID, buf []pkt.NodeID) []pkt.NodeID {
+	c.BuildIndex()
+	st := c.station(id)
+	if st == nil {
+		return buf
+	}
+	if c.cfg.TxRange > c.cfg.CSRange {
+		for _, o := range c.order {
+			if o != st && st.pos.Dist(o.pos) <= c.cfg.TxRange {
+				buf = append(buf, o.id)
+			}
+		}
+		return buf
+	}
+	for _, k := range st.csNbrs {
+		if lk := &st.nbrs[k]; lk.inTx {
+			buf = append(buf, c.idx.ID(int(lk.slot)))
+		}
+	}
+	return buf
 }
 
 // neighbor returns the cached link record toward the station at the

@@ -360,9 +360,7 @@ func (c *Channel) InCSRange(a, b pkt.NodeID) bool {
 // a neighbour within carrier-sense range is transmitting or because the node
 // itself is.
 func (c *Channel) Busy(id pkt.NodeID) bool {
-	if !c.indexed {
-		c.buildIndex()
-	}
+	c.BuildIndex()
 	n := c.station(id)
 	return c.sensed[n.slot] > 0 || c.busyTx[n.slot]
 }

@@ -31,8 +31,24 @@ func (x *NodeIndex) IDs() []NodeID { return x.ids }
 func (x *NodeIndex) ID(slot int) NodeID { return x.ids[slot] }
 
 // Slot returns the dense slot of id, or ok=false if id is not indexed.
-func (x *NodeIndex) Slot(id NodeID) (slot int, ok bool) {
-	return slices.BinarySearch(x.ids, id)
+func (x *NodeIndex) Slot(id NodeID) (slot int, ok bool) { return SlotOf(x.ids, id) }
+
+// SlotOf returns the position of id in the ascending, duplicate-free ids
+// with slices.BinarySearch semantics (the insertion point and ok=false
+// when id is absent). Builder-made topologies number their nodes
+// 0..N-1, which such a slice holds exactly when its last id is N-1; then
+// the position is the id itself and no search runs.
+func SlotOf(ids []NodeID, id NodeID) (slot int, ok bool) {
+	if n := len(ids); n > 0 && ids[0] == 0 && ids[n-1] == NodeID(n-1) {
+		switch {
+		case id < 0:
+			return 0, false
+		case int(id) >= n:
+			return n, false
+		}
+		return int(id), true
+	}
+	return slices.BinarySearch(ids, id)
 }
 
 // Add inserts id, keeping the set sorted, and returns the slot it was

@@ -2,6 +2,7 @@ package pkt
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -71,6 +72,21 @@ func TestNodeIndexRandomized(t *testing.T) {
 	for slot, id := range ids {
 		if got, ok := x.Slot(id); !ok || got != slot {
 			t.Errorf("Slot(%v) = %d,%v, want %d,true", id, got, ok, slot)
+		}
+	}
+}
+
+// TestSlotOfMatchesBinarySearch pins the dense 0..N-1 fast path to
+// slices.BinarySearch semantics, for present, absent and out-of-range
+// ids, on dense sets and on sets with a gap.
+func TestSlotOfMatchesBinarySearch(t *testing.T) {
+	for _, ids := range [][]NodeID{nil, {0}, {0, 1, 2, 3}, {0, 1, 3, 4}, {1, 2, 3}} {
+		for id := NodeID(-2); id <= 6; id++ {
+			gotSlot, gotOK := SlotOf(ids, id)
+			wantSlot, wantOK := slices.BinarySearch(ids, id)
+			if gotSlot != wantSlot || gotOK != wantOK {
+				t.Errorf("SlotOf(%v, %v) = %d,%v, want %d,%v", ids, id, gotSlot, gotOK, wantSlot, wantOK)
+			}
 		}
 	}
 }

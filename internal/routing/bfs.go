@@ -26,41 +26,35 @@ type BFS struct{}
 func (BFS) Name() string { return "bfs" }
 
 // Route runs the breadth-first search over g's usable links. The flow id
-// is ignored: minimum-hop paths are flow-independent.
+// is ignored: minimum-hop paths are flow-independent. Each dequeued node
+// tests only its Neighbors candidates, so a search costs O(N·degree)
+// predicate calls, and the search state is dense slot-indexed scratch
+// kept on the graph: the one allocation per route is the returned path.
 func (BFS) Route(g *Graph, _ pkt.FlowID, src, dst pkt.NodeID) ([]pkt.NodeID, bool) {
-	parent := map[pkt.NodeID]pkt.NodeID{src: src}
-	queue := []pkt.NodeID{src}
-	found := false
-	for len(queue) > 0 && !found {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.IDs {
-			if _, seen := parent[v]; seen || !g.Usable(u, v) {
-				continue
-			}
-			parent[v] = u
-			if v == dst {
-				found = true
-				break
-			}
-			queue = append(queue, v)
-		}
-	}
-	if !found {
+	si, ok := g.slot(src)
+	if !ok {
 		return nil, false
 	}
-	var rev []pkt.NodeID
-	for v := dst; ; v = parent[v] {
-		rev = append(rev, v)
-		if v == src {
-			break
+	s := g.reset()
+	s.parent[si] = int32(si)
+	s.queue = append(s.queue, int32(si))
+	for head := 0; head < len(s.queue); head++ {
+		u := s.queue[head]
+		uid := g.IDs[u]
+		s.nbrs = g.neighbors(uid, s.nbrs[:0])
+		for _, v := range s.nbrs {
+			vi, ok := g.slot(v)
+			if !ok || s.parent[vi] != unreached || !g.Usable(uid, v) {
+				continue
+			}
+			s.parent[vi] = u
+			if v == dst {
+				return g.path(s.parent, vi), true
+			}
+			s.queue = append(s.queue, int32(vi))
 		}
 	}
-	path := make([]pkt.NodeID, len(rev))
-	for i, v := range rev {
-		path[len(rev)-1-i] = v
-	}
-	return path, true
+	return nil, false
 }
 
 // GatewayTree runs a breadth-first search over the transmission-range

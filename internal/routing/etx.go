@@ -62,37 +62,31 @@ func (e *ETX) LinkCost(g *Graph, a, b pkt.NodeID) float64 {
 // Route runs Dijkstra over the usable links with ETX link costs. The flow
 // id is ignored: the cheapest path is flow-independent.
 func (e *ETX) Route(g *Graph, _ pkt.FlowID, src, dst pkt.NodeID) ([]pkt.NodeID, bool) {
-	n := len(g.IDs)
-	idx := make(map[pkt.NodeID]int, n)
-	for i, id := range g.IDs {
-		idx[id] = i
-	}
-	si, ok := idx[src]
+	si, ok := g.slot(src)
 	if !ok {
 		return nil, false
 	}
-	di, ok := idx[dst]
+	di, ok := g.slot(dst)
 	if !ok {
 		return nil, false
 	}
-
-	const unreached = -1
-	dist := make([]float64, n)
-	parent := make([]int, n)
-	done := make([]bool, n)
+	s := g.reset()
+	dist, parent, done := s.dist, s.parent, s.done
 	for i := range dist {
 		dist[i] = math.Inf(1)
-		parent[i] = unreached
+		done[i] = false
 	}
 	dist[si] = 0
-	parent[si] = si
+	parent[si] = int32(si)
 
-	// O(V²) selection: scan for the unsettled minimum. Topologies top out
-	// in the hundreds of nodes, and the ascending scan doubles as the
-	// lowest-id tie-break, which a binary heap would not give for free.
+	// Selection scans for the unsettled minimum, O(V) per settled node.
+	// Topologies top out in the hundreds of nodes, and the ascending scan
+	// doubles as the lowest-id tie-break, which a binary heap would not
+	// give for free. Relaxation tests only the settled node's Neighbors
+	// candidates, so the link predicate and costs run O(N·degree) times.
 	for {
 		u := unreached
-		for i := 0; i < n; i++ {
+		for i := range dist {
 			if !done[i] && parent[i] != unreached && (u == unreached || dist[i] < dist[u]) {
 				u = i
 			}
@@ -105,33 +99,23 @@ func (e *ETX) Route(g *Graph, _ pkt.FlowID, src, dst pkt.NodeID) ([]pkt.NodeID, 
 		}
 		done[u] = true
 		uid := g.IDs[u]
-		for v := 0; v < n; v++ {
-			if done[v] || !g.Usable(uid, g.IDs[v]) {
+		s.nbrs = g.neighbors(uid, s.nbrs[:0])
+		for _, vid := range s.nbrs {
+			v, ok := g.slot(vid)
+			if !ok || done[v] || !g.Usable(uid, vid) {
 				continue
 			}
-			c := e.LinkCost(g, uid, g.IDs[v])
+			c := e.LinkCost(g, uid, vid)
 			if math.IsInf(c, 1) {
 				continue
 			}
 			if nd := dist[u] + c; nd < dist[v] {
 				dist[v] = nd
-				parent[v] = u
+				parent[v] = int32(u)
 			}
 		}
 	}
-
-	var rev []pkt.NodeID
-	for v := di; ; v = parent[v] {
-		rev = append(rev, g.IDs[v])
-		if v == si {
-			break
-		}
-	}
-	path := make([]pkt.NodeID, len(rev))
-	for i, v := range rev {
-		path[len(rev)-1-i] = v
-	}
-	return path, true
+	return g.path(parent, di), true
 }
 
 // PathCost sums a path's link costs under this strategy's rules — the

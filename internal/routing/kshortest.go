@@ -59,6 +59,26 @@ func (s *KShortest) Paths(g *Graph, src, dst pkt.NodeID) [][]pkt.NodeID {
 	found := [][]pkt.NodeID{first}
 	var candidates [][]pkt.NodeID
 
+	// One spur graph serves every spur search: it shares g's candidate
+	// lists (a superset of its own usable links, which only ever ban
+	// more) and g's search scratch, and its banned sets are refilled per
+	// spur.
+	bannedEdge := make(map[[2]pkt.NodeID]bool)
+	bannedNode := make(map[pkt.NodeID]bool)
+	sub := &Graph{
+		IDs:       g.IDs,
+		LinkLoss:  g.LinkLoss,
+		Measured:  g.Measured,
+		Neighbors: g.Neighbors,
+		Usable: func(a, b pkt.NodeID) bool {
+			if bannedNode[a] || bannedNode[b] || bannedEdge[[2]pkt.NodeID{a, b}] {
+				return false
+			}
+			return g.Usable(a, b)
+		},
+		scratch: g.scratch,
+	}
+
 	for len(found) < k {
 		prev := found[len(found)-1]
 		// Each node of the newest path except the destination is a spur:
@@ -67,26 +87,15 @@ func (s *KShortest) Paths(g *Graph, src, dst pkt.NodeID) [][]pkt.NodeID {
 		for i := 0; i < len(prev)-1; i++ {
 			spur := prev[i]
 			root := prev[:i+1]
-			bannedEdge := make(map[[2]pkt.NodeID]bool)
+			clear(bannedEdge)
 			for _, p := range found {
 				if len(p) > i && samePrefix(p, root) {
 					bannedEdge[[2]pkt.NodeID{p[i], p[i+1]}] = true
 				}
 			}
-			bannedNode := make(map[pkt.NodeID]bool)
+			clear(bannedNode)
 			for _, u := range root[:len(root)-1] {
 				bannedNode[u] = true
-			}
-			sub := &Graph{
-				IDs:      g.IDs,
-				LinkLoss: g.LinkLoss,
-				Measured: g.Measured,
-				Usable: func(a, b pkt.NodeID) bool {
-					if bannedNode[a] || bannedNode[b] || bannedEdge[[2]pkt.NodeID{a, b}] {
-						return false
-					}
-					return g.Usable(a, b)
-				},
 			}
 			tail, ok := BFS{}.Route(sub, 0, spur, dst)
 			if !ok {

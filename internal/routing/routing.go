@@ -44,9 +44,8 @@ type Graph struct {
 	IDs []pkt.NodeID
 	// Usable reports whether the directed link a->b can carry traffic
 	// right now: both endpoints up, the link not severed, b within a's
-	// transmission range. During route repair this is the dynamics
-	// engine's connectivity predicate; at build time it is plain
-	// transmission range.
+	// transmission range. During route repair this is the mesh's
+	// LinkUsable; at build time it is plain transmission range.
 	Usable func(a, b pkt.NodeID) bool
 	// LinkLoss reports the calibrated erasure probability of the directed
 	// link a->b (0 when none is configured) — the a-priori input of
@@ -58,6 +57,85 @@ type Graph struct {
 	// queue toward b. Nil when the caller has no MAC state (pure
 	// topology-level computations).
 	Measured func(a, b pkt.NodeID) (acked, retries uint64, ok bool)
+	// Neighbors appends to buf the candidate successors of a and returns
+	// the extended slice: an ascending-id superset of every b with
+	// Usable(a, b). Strategies test only these candidates, so a search
+	// costs O(N·degree) rather than O(N²) predicate calls; because the
+	// list is ascending and holds every usable successor, it visits the
+	// usable links in exactly the order the all-pairs scan would, and the
+	// paths are identical. Nil makes every id in IDs a candidate (that
+	// all-pairs scan).
+	Neighbors func(a pkt.NodeID, buf []pkt.NodeID) []pkt.NodeID
+
+	// scratch is the dense search state reused across Route calls on this
+	// graph (see search), so a Graph must not be routed over from two
+	// goroutines at once.
+	scratch *search
+}
+
+// neighbors appends a's candidate successors to buf: Neighbors when set,
+// every id otherwise.
+func (g *Graph) neighbors(a pkt.NodeID, buf []pkt.NodeID) []pkt.NodeID {
+	if g.Neighbors == nil {
+		return append(buf, g.IDs...)
+	}
+	return g.Neighbors(a, buf)
+}
+
+// search is the slot-indexed scratch of one route computation: slot i
+// stands for g.IDs[i]. It lives on the Graph so a repair round routing
+// every flow over one graph allocates it once.
+type search struct {
+	parent []int32 // predecessor slot; unreached marks an unvisited slot
+	queue  []int32
+	dist   []float64
+	done   []bool
+	nbrs   []pkt.NodeID
+}
+
+// unreached is the parent of a slot no search has reached.
+const unreached = -1
+
+// reset returns the graph's scratch sized to its ids with every slot
+// unreached.
+func (g *Graph) reset() *search {
+	s := g.scratch
+	if s == nil {
+		s = &search{}
+		g.scratch = s
+	}
+	n := len(g.IDs)
+	if cap(s.parent) < n {
+		s.parent = make([]int32, n)
+		s.dist = make([]float64, n)
+		s.done = make([]bool, n)
+	}
+	s.parent, s.dist, s.done = s.parent[:n], s.dist[:n], s.done[:n]
+	for i := range s.parent {
+		s.parent[i] = unreached
+	}
+	s.queue = s.queue[:0]
+	return s
+}
+
+// slot returns the position of id in g.IDs.
+func (g *Graph) slot(id pkt.NodeID) (int, bool) { return pkt.SlotOf(g.IDs, id) }
+
+// path unwinds the parent chain from slot dst back to the search root
+// into a fresh src..dst id path.
+func (g *Graph) path(parent []int32, dst int) []pkt.NodeID {
+	hops := 0
+	for v := dst; parent[v] != int32(v); v = int(parent[v]) {
+		hops++
+	}
+	p := make([]pkt.NodeID, hops+1)
+	for v := dst; ; v = int(parent[v]) {
+		p[hops] = g.IDs[v]
+		if parent[v] == int32(v) {
+			return p
+		}
+		hops--
+	}
 }
 
 // Strategy computes one flow's path over a graph view.
@@ -67,7 +145,7 @@ type Strategy interface {
 	// Route computes a loop-free path src..dst over the graph's usable
 	// links. It reports ok=false when no path exists; the caller decides
 	// what a failed (re)computation means. Implementations must be
-	// deterministic and must not mutate the graph.
+	// deterministic and must not mutate the graph's exported fields.
 	Route(g *Graph, flow pkt.FlowID, src, dst pkt.NodeID) ([]pkt.NodeID, bool)
 }
 

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"ezflow"
+	"ezflow/internal/dynamics"
 	"ezflow/internal/routing"
 )
 
@@ -157,16 +158,42 @@ func benchRouteBuild(b *testing.B, name string) {
 }
 
 // BenchmarkRoutingBFS is the repair-cost baseline: the legacy minimum-hop
-// search on a 200-node disk.
+// search on a 200-node disk, walking the PHY index's decode-range lists
+// (O(N·degree) link tests) with scratch reused across iterations.
 func BenchmarkRoutingBFS(b *testing.B) { benchRouteBuild(b, "bfs") }
 
-// BenchmarkRoutingETX measures the O(V²) Dijkstra of the link-quality
-// strategy on the same graph.
+// BenchmarkRoutingETX measures the Dijkstra of the link-quality strategy
+// on the same graph: O(N·degree) link tests and costs, plus a linear
+// minimum scan per settled node.
 func BenchmarkRoutingETX(b *testing.B) { benchRouteBuild(b, "etx") }
 
 // BenchmarkRoutingKShortest measures Yen's k-shortest ranking (K=4, each
 // spur an inner BFS) on the same graph — the most expensive strategy.
 func BenchmarkRoutingKShortest(b *testing.B) { benchRouteBuild(b, "kshortest") }
+
+// BenchmarkRerouteAll measures one dynamics repair round — every flow
+// rerouted over one routing graph, relays recorded, the controller
+// re-extended — on a 200-node disk carrying 17 flows (the rim flow plus
+// 16 gateway clients), the work mobility and scripted faults trigger
+// mid-run.
+func BenchmarkRerouteAll(b *testing.B) {
+	cfg := ezflow.DefaultConfig()
+	cfg.Seed = 1
+	cfg.Mode = ezflow.ModeEZFlow
+	cfg.Workload = &ezflow.WorkloadSpec{Clients: 16, OnMeanSec: 5, OffMeanSec: 5}
+	sc := ezflow.NewRandom(200, 0, cfg, ezflow.FlowSpec{Flow: 1, RateBps: 2e5})
+	if err := sc.AddDynamics(&dynamics.Script{}); err != nil {
+		b.Fatal(err)
+	}
+	if n := len(sc.Mesh.Flows()); n != 17 {
+		b.Fatalf("%d flows, want 17", n)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc.Dyn.RerouteAll()
+	}
+}
 
 // lossyDiskRun is diskRun over the edge-of-range loss model with the
 // given routing strategy — the workload of the `ezbench -exp routing`
