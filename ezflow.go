@@ -606,7 +606,7 @@ func (sc *Scenario) repairRoutes() {
 		return
 	}
 	m := sc.Mesh
-	m.RerouteAll(m.LinkUsable)
+	m.RerouteAll()
 	if sc.Ctl != nil {
 		sc.Ctl.Extend(m)
 	}

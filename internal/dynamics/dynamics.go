@@ -446,7 +446,7 @@ func (e *Engine) restoreRegion() {
 // Flows with no surviving path keep their broken route until
 // connectivity returns.
 func (e *Engine) RerouteAll() {
-	e.m.RerouteAll(e.m.LinkUsable)
+	e.m.RerouteAll()
 	e.recordRelays()
 	if e.OnReroute != nil {
 		e.OnReroute()

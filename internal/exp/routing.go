@@ -104,7 +104,7 @@ func Routing(o Options) *RoutingResult {
 			// every strategy is judged against the same yardstick.
 			path := sc.Mesh.Route(1)
 			metric := &routing.ETX{MinAcked: routing.DefaultOptions().MinAcked}
-			cost := metric.PathCost(sc.Mesh.RoutingGraph(nil), path)
+			cost := metric.PathCost(sc.Mesh.RoutingGraph(), path)
 			res := sc.Run()
 			return RoutingRun{
 				Strategy: c.strategy,

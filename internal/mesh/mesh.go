@@ -259,18 +259,23 @@ func (m *Mesh) Strategy() routing.Strategy {
 }
 
 // RoutingGraph assembles the read-only topology view routing strategies
-// compute over: the channel's ascending node ids, the usable-link
-// predicate (plain transmission range when usable is nil — the
-// build-time connectivity), the channel's calibrated losses, the live
-// per-link MAC counters, and the PHY index's decode-range lists as the
-// candidate successors. usable must admit only decode-range links (as
-// LinkUsable does), so those lists are the ascending superset
-// routing.Graph.Neighbors requires. The graph reads live state, so one
-// graph serves a whole repair round.
-func (m *Mesh) RoutingGraph(usable func(a, b pkt.NodeID) bool) *routing.Graph {
-	if usable == nil {
-		usable = m.Ch.InTxRange
-	}
+// compute over at build time: the channel's ascending node ids, plain
+// transmission range as the usable-link predicate, the channel's
+// calibrated losses, the live per-link MAC counters, and the PHY index's
+// decode-range lists as the candidate successors.
+func (m *Mesh) RoutingGraph() *routing.Graph { return m.graph(m.Ch.InTxRange) }
+
+// repairGraph is the view route repair computes over: RoutingGraph with
+// LinkUsable as the predicate. It reads live state, so one graph serves
+// a whole repair round.
+func (m *Mesh) repairGraph() *routing.Graph { return m.graph(m.LinkUsable) }
+
+// graph builds a routing view over usable. Both predicates above admit
+// only decode-range links, so the decode-range lists are the ascending
+// superset routing.Graph.Neighbors requires; a predicate reaching beyond
+// decode range would be silently clipped, which is why it is not an
+// argument of any exported call.
+func (m *Mesh) graph(usable func(a, b pkt.NodeID) bool) *routing.Graph {
 	return &routing.Graph{
 		IDs:       m.Ch.NodeIDs(),
 		Usable:    usable,
@@ -311,23 +316,21 @@ func (m *Mesh) linkMeasured(a, b pkt.NodeID) (acked, retries uint64, ok bool) {
 }
 
 // RerouteFlow recomputes the flow's path from its source to its
-// destination with the active routing strategy over the links admitted by
-// the usable predicate (typically LinkUsable: decode range minus failed
-// links and halted nodes; see RoutingGraph for its contract) and
-// installs the result. Every strategy is deterministic, so repairs are
-// too. It reports whether a path was found; when none exists the previous
-// route stays in place and the failure is counted (RerouteFailures) —
-// traffic stalls at the break until connectivity returns, exactly like a
-// static routing agent that has not re-converged. Endpoints are always
-// considered, even when usable excludes them as relays of other flows.
-func (m *Mesh) RerouteFlow(flow pkt.FlowID, usable func(a, b pkt.NodeID) bool) bool {
-	return m.reroute(m.RoutingGraph(usable), flow)
+// destination with the active routing strategy over the links LinkUsable
+// admits (decode range minus failed links and halted nodes) and installs
+// the result. Every strategy is deterministic, so repairs are too. It
+// reports whether a path was found; when none exists the previous route
+// stays in place and the failure is counted (RerouteFailures) — traffic
+// stalls at the break until connectivity returns, exactly like a static
+// routing agent that has not re-converged.
+func (m *Mesh) RerouteFlow(flow pkt.FlowID) bool {
+	return m.reroute(m.repairGraph(), flow)
 }
 
 // RerouteAll is one repair round: RerouteFlow for every installed flow,
 // in ascending id order, over a single routing graph.
-func (m *Mesh) RerouteAll(usable func(a, b pkt.NodeID) bool) {
-	g := m.RoutingGraph(usable)
+func (m *Mesh) RerouteAll() {
+	g := m.repairGraph()
 	for _, f := range m.Flows() {
 		m.reroute(g, f)
 	}
@@ -366,7 +369,7 @@ func (m *Mesh) RerouteFailures() uint64 { return m.rerouteFailures }
 // connectivity-validated builders, but a caller-built mesh can be
 // disconnected.
 func (m *Mesh) RecomputeRoutes() error {
-	g := m.RoutingGraph(nil)
+	g := m.RoutingGraph()
 	s := m.Strategy()
 	for _, f := range m.Flows() {
 		route := m.routes[f]

@@ -37,10 +37,6 @@ func moveMatchesRebuild(t *testing.T, seed int64) {
 	eng := sim.NewEngine(seed)
 	m := RandomDisk(eng, 40, 0, seed, phy.DefaultConfig(), mac.DefaultConfig())
 	ids := m.Ch.NodeIDs()
-	usable := func(a, b pkt.NodeID) bool {
-		return !m.Node(a).MAC.Down() && !m.Node(b).MAC.Down() &&
-			!m.Ch.LinkDown(a, b) && m.Ch.InTxRange(a, b)
-	}
 	// Traffic on the installed rim flow forces the index build and keeps
 	// flights, queues, and receptions live across the churn below.
 	pump := func() {
@@ -67,7 +63,7 @@ func moveMatchesRebuild(t *testing.T, seed int64) {
 				m.Node(id).MAC.SetDown(rng.Intn(2) == 0)
 			}
 		case 3: // route repair through the active strategy
-			m.RerouteFlow(1, usable)
+			m.RerouteFlow(1)
 		default: // the common case: a node moves
 			if m.Ch.Transmitting(id) {
 				break // mobility engine defers these; so does the test

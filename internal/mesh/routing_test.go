@@ -48,13 +48,9 @@ func TestRerouteFlowDelegates(t *testing.T) {
 		m := Grid(eng, 2, 2, phy.DefaultConfig(), mac.DefaultConfig())
 		m.SetStrategy(strategyOf(t, name))
 		// Sever 2->0 (both directions), the hop flow 1's builder route uses.
-		usable := func(a, b pkt.NodeID) bool {
-			if (a == 2 && b == 0) || (a == 0 && b == 2) {
-				return false
-			}
-			return m.Ch.InTxRange(a, b)
-		}
-		if !m.RerouteFlow(1, usable) {
+		m.Ch.SetLinkDown(2, 0, true)
+		m.Ch.SetLinkDown(0, 2, true)
+		if !m.RerouteFlow(1) {
 			t.Errorf("%s: repair found no path on a connected grid", name)
 			continue
 		}
@@ -73,9 +69,10 @@ func TestRerouteFlowDelegates(t *testing.T) {
 func TestRerouteFailureCounted(t *testing.T) {
 	m := newChain(t, 2)
 	before := append([]pkt.NodeID(nil), m.Route(1)...)
-	nothing := func(a, b pkt.NodeID) bool { return false }
-	if m.RerouteFlow(1, nothing) {
-		t.Error("reroute over an empty graph reported success")
+	// A halted source leaves no usable link out of it.
+	m.Node(before[0]).MAC.SetDown(true)
+	if m.RerouteFlow(1) {
+		t.Error("reroute from a halted source reported success")
 	}
 	if got := m.RerouteFailures(); got != 1 {
 		t.Errorf("RerouteFailures = %d, want 1", got)
@@ -84,7 +81,7 @@ func TestRerouteFailureCounted(t *testing.T) {
 		t.Errorf("failed reroute changed the route: %v", m.Route(1))
 	}
 	// An unknown flow is a no-op, not a counted failure.
-	if m.RerouteFlow(99, nothing) {
+	if m.RerouteFlow(99) {
 		t.Error("reroute of an uninstalled flow reported success")
 	}
 	if got := m.RerouteFailures(); got != 1 {

@@ -28,30 +28,32 @@ func (BFS) Name() string { return "bfs" }
 // Route runs the breadth-first search over g's usable links. The flow id
 // is ignored: minimum-hop paths are flow-independent. Each dequeued node
 // tests only its Neighbors candidates, so a search costs O(N·degree)
-// predicate calls, and the search state is dense slot-indexed scratch
-// kept on the graph: the one allocation per route is the returned path.
+// predicate calls, and the search state is dense slot-indexed slices,
+// not maps.
 func (BFS) Route(g *Graph, _ pkt.FlowID, src, dst pkt.NodeID) ([]pkt.NodeID, bool) {
 	si, ok := g.slot(src)
 	if !ok {
 		return nil, false
 	}
-	s := g.reset()
-	s.parent[si] = int32(si)
-	s.queue = append(s.queue, int32(si))
-	for head := 0; head < len(s.queue); head++ {
-		u := s.queue[head]
+	parent := g.parents()
+	parent[si] = int32(si)
+	queue := make([]int32, 1, len(g.IDs))
+	queue[0] = int32(si)
+	var nbrs []pkt.NodeID
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
 		uid := g.IDs[u]
-		s.nbrs = g.neighbors(uid, s.nbrs[:0])
-		for _, v := range s.nbrs {
+		nbrs = g.neighbors(uid, nbrs[:0])
+		for _, v := range nbrs {
 			vi, ok := g.slot(v)
-			if !ok || s.parent[vi] != unreached || !g.Usable(uid, v) {
+			if !ok || parent[vi] != unreached || !g.Usable(uid, v) {
 				continue
 			}
-			s.parent[vi] = u
+			parent[vi] = u
 			if v == dst {
-				return g.path(s.parent, vi), true
+				return g.path(parent, vi), true
 			}
-			s.queue = append(s.queue, int32(vi))
+			queue = append(queue, int32(vi))
 		}
 	}
 	return nil, false

@@ -70,12 +70,13 @@ func (e *ETX) Route(g *Graph, _ pkt.FlowID, src, dst pkt.NodeID) ([]pkt.NodeID, 
 	if !ok {
 		return nil, false
 	}
-	s := g.reset()
-	dist, parent, done := s.dist, s.parent, s.done
+	parent := g.parents()
+	dist := make([]float64, len(g.IDs))
 	for i := range dist {
 		dist[i] = math.Inf(1)
-		done[i] = false
 	}
+	done := make([]bool, len(g.IDs))
+	var nbrs []pkt.NodeID
 	dist[si] = 0
 	parent[si] = int32(si)
 
@@ -99,8 +100,8 @@ func (e *ETX) Route(g *Graph, _ pkt.FlowID, src, dst pkt.NodeID) ([]pkt.NodeID, 
 		}
 		done[u] = true
 		uid := g.IDs[u]
-		s.nbrs = g.neighbors(uid, s.nbrs[:0])
-		for _, vid := range s.nbrs {
+		nbrs = g.neighbors(uid, nbrs[:0])
+		for _, vid := range nbrs {
 			v, ok := g.slot(vid)
 			if !ok || done[v] || !g.Usable(uid, vid) {
 				continue

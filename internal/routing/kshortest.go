@@ -61,8 +61,7 @@ func (s *KShortest) Paths(g *Graph, src, dst pkt.NodeID) [][]pkt.NodeID {
 
 	// One spur graph serves every spur search: it shares g's candidate
 	// lists (a superset of its own usable links, which only ever ban
-	// more) and g's search scratch, and its banned sets are refilled per
-	// spur.
+	// more), and its banned sets are refilled per spur.
 	bannedEdge := make(map[[2]pkt.NodeID]bool)
 	bannedNode := make(map[pkt.NodeID]bool)
 	sub := &Graph{
@@ -76,7 +75,6 @@ func (s *KShortest) Paths(g *Graph, src, dst pkt.NodeID) [][]pkt.NodeID {
 			}
 			return g.Usable(a, b)
 		},
-		scratch: g.scratch,
 	}
 
 	for len(found) < k {

@@ -66,11 +66,6 @@ type Graph struct {
 	// paths are identical. Nil makes every id in IDs a candidate (that
 	// all-pairs scan).
 	Neighbors func(a pkt.NodeID, buf []pkt.NodeID) []pkt.NodeID
-
-	// scratch is the dense search state reused across Route calls on this
-	// graph (see search), so a Graph must not be routed over from two
-	// goroutines at once.
-	scratch *search
 }
 
 // neighbors appends a's candidate successors to buf: Neighbors when set,
@@ -82,40 +77,17 @@ func (g *Graph) neighbors(a pkt.NodeID, buf []pkt.NodeID) []pkt.NodeID {
 	return g.Neighbors(a, buf)
 }
 
-// search is the slot-indexed scratch of one route computation: slot i
-// stands for g.IDs[i]. It lives on the Graph so a repair round routing
-// every flow over one graph allocates it once.
-type search struct {
-	parent []int32 // predecessor slot; unreached marks an unvisited slot
-	queue  []int32
-	dist   []float64
-	done   []bool
-	nbrs   []pkt.NodeID
-}
-
 // unreached is the parent of a slot no search has reached.
 const unreached = -1
 
-// reset returns the graph's scratch sized to its ids with every slot
-// unreached.
-func (g *Graph) reset() *search {
-	s := g.scratch
-	if s == nil {
-		s = &search{}
-		g.scratch = s
+// parents returns a dense predecessor array over g.IDs (slot i stands
+// for g.IDs[i]) with every slot unreached.
+func (g *Graph) parents() []int32 {
+	parent := make([]int32, len(g.IDs))
+	for i := range parent {
+		parent[i] = unreached
 	}
-	n := len(g.IDs)
-	if cap(s.parent) < n {
-		s.parent = make([]int32, n)
-		s.dist = make([]float64, n)
-		s.done = make([]bool, n)
-	}
-	s.parent, s.dist, s.done = s.parent[:n], s.dist[:n], s.done[:n]
-	for i := range s.parent {
-		s.parent[i] = unreached
-	}
-	s.queue = s.queue[:0]
-	return s
+	return parent
 }
 
 // slot returns the position of id in g.IDs.
@@ -145,7 +117,7 @@ type Strategy interface {
 	// Route computes a loop-free path src..dst over the graph's usable
 	// links. It reports ok=false when no path exists; the caller decides
 	// what a failed (re)computation means. Implementations must be
-	// deterministic and must not mutate the graph's exported fields.
+	// deterministic and must not mutate the graph.
 	Route(g *Graph, flow pkt.FlowID, src, dst pkt.NodeID) ([]pkt.NodeID, bool)
 }
 

@@ -144,7 +144,7 @@ func benchRouteBuild(b *testing.B, name string) {
 	cfg := ezflow.DefaultConfig()
 	cfg.Seed = 1
 	sc := ezflow.NewRandomLossy(200, 0, 0.5, cfg)
-	g := sc.Mesh.RoutingGraph(nil)
+	g := sc.Mesh.RoutingGraph()
 	route := sc.Mesh.Route(1)
 	src, dst := route[0], route[len(route)-1]
 	s := routingStrategy(b, name)
@@ -159,7 +159,7 @@ func benchRouteBuild(b *testing.B, name string) {
 
 // BenchmarkRoutingBFS is the repair-cost baseline: the legacy minimum-hop
 // search on a 200-node disk, walking the PHY index's decode-range lists
-// (O(N·degree) link tests) with scratch reused across iterations.
+// (O(N·degree) link tests) with dense per-route search state.
 func BenchmarkRoutingBFS(b *testing.B) { benchRouteBuild(b, "bfs") }
 
 // BenchmarkRoutingETX measures the Dijkstra of the link-quality strategy

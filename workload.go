@@ -147,7 +147,7 @@ func expandWorkload(cfg *Config, m *mesh.Mesh, flows []FlowSpec) ([]FlowSpec, ma
 		rate = DefaultWorkloadRateBps
 	}
 	rng := rand.New(rand.NewSource(workloadSeed(cfg.Seed)))
-	g := m.RoutingGraph(nil)
+	g := m.RoutingGraph()
 	s := m.Strategy()
 	sched := make(map[FlowID][]traffic.Segment, w.Clients)
 	for k := 0; k < w.Clients; k++ {
