@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"sort"
 
-	"ezflow/internal/baseline"
 	"ezflow/internal/ctl"
 	"ezflow/internal/dynamics"
 	ez "ezflow/internal/ezflow"
@@ -144,11 +143,6 @@ type Config struct {
 	// panic at scenario wiring — the CLI and scenario layers validate
 	// before building.
 	Controller string
-	// Ctl tunes the registry controllers (backpressure/feedback/staticcap
-	// parameters). Zero values select each family's defaults; the EZ and
-	// penalty fields are overridden by the top-level EZ/PenaltyQ/
-	// PenaltyRelayCW settings below, which remain the source of truth.
-	Ctl ctl.Options
 
 	// Routing selects a routing strategy from the internal/routing
 	// registry by name (see Routings). Empty or "bfs" keeps the default
@@ -168,10 +162,9 @@ type Config struct {
 
 	// EZ holds EZ-Flow options (thresholds, window, sniff loss).
 	EZ ez.Options
-	// PenaltyQ is the throttling factor of ModePenalty (0 < q <= 1).
+	// PenaltyQ is the throttling factor of ModePenalty (0 < q <= 1);
+	// values outside that range select ctl.DefaultPenaltyQ.
 	PenaltyQ float64
-	// PenaltyRelayCW is the relay contention window of ModePenalty.
-	PenaltyRelayCW int
 
 	// Dynamics, when non-nil, is a timed perturbation script (link flaps,
 	// node churn, channel degradation, traffic steps) injected into the
@@ -227,7 +220,7 @@ func DefaultConfig() Config {
 		PHY:         phy.DefaultConfig(),
 		MAC:         mac.DefaultConfig(),
 		EZ:          ez.DefaultOptions(),
-		PenaltyQ:    1.0 / 128,
+		PenaltyQ:    ctl.DefaultPenaltyQ,
 		PacketBytes: pkt.DefaultPayloadBytes,
 		Bin:         10 * Second,
 		QueueSample: 1 * Second,
@@ -258,12 +251,9 @@ type Scenario struct {
 	QueueTraces map[NodeID]*trace.Recorder
 	// Ctl is the deployed congestion controller, non-nil whenever the
 	// scenario runs one (any mode or controller name except plain 802.11).
+	// The hook-based controllers (ezflow, staticcap, backpressure,
+	// feedback) expose their relays through a *ctl.Deployment.
 	Ctl ctl.Instance
-	// Deployment is non-nil when the ezflow controller is deployed
-	// (ModeEZFlow or Controller "ezflow").
-	Deployment *ez.Deployment
-	// DiffQ is non-nil when the diffq controller is deployed.
-	DiffQ *baseline.DiffQDeployment
 	// Dyn is the perturbation engine, non-nil once a dynamics script is
 	// attached (Config.Dynamics or AddDynamics).
 	Dyn *dynamics.Engine
@@ -312,12 +302,6 @@ func fillDefaults(cfg *Config) {
 	if cfg.QueueSample <= 0 {
 		cfg.QueueSample = 1 * Second
 	}
-	if cfg.PenaltyQ <= 0 || cfg.PenaltyQ > 1 {
-		cfg.PenaltyQ = 1.0 / 128
-	}
-	if cfg.PenaltyRelayCW <= 0 {
-		cfg.PenaltyRelayCW = 16
-	}
 	if cfg.RecoveryTolerance <= 0 || cfg.RecoveryTolerance >= 1 {
 		cfg.RecoveryTolerance = 0.2
 	}
@@ -332,15 +316,9 @@ func (c *Config) controllerName() string {
 	return c.Mode.ControllerName()
 }
 
-// ctlOptions assembles the registry options, keeping the top-level EZ and
-// penalty fields authoritative over Config.Ctl's copies.
+// ctlOptions assembles the registry options from the controller fields.
 func (c *Config) ctlOptions() ctl.Options {
-	opts := c.Ctl
-	opts.EZ = c.EZ
-	opts.Penalty.Q = c.PenaltyQ
-	opts.Penalty.RelayCW = c.PenaltyRelayCW
-	ctl.FillDefaults(&opts)
-	return opts
+	return ctl.Options{EZ: c.EZ, PenaltyQ: c.PenaltyQ}
 }
 
 // NewChain builds a linear K-hop scenario (flow 1 runs end to end).
@@ -535,12 +513,6 @@ func wire(cfg Config, eng *sim.Engine, m *mesh.Mesh, flows []FlowSpec) *Scenario
 			panic("ezflow: " + err.Error())
 		}
 		sc.Ctl = info.Deploy(m, cfg.ctlOptions())
-		if e, ok := sc.Ctl.(ctl.EZInstance); ok {
-			sc.Deployment = e.EZ()
-		}
-		if d, ok := sc.Ctl.(ctl.DiffQInstance); ok {
-			sc.DiffQ = d.DiffQ()
-		}
 	}
 
 	// Queue traces at every node that relays for some flow.
@@ -738,12 +710,10 @@ func (sc *Scenario) Run() *Result {
 		res.QueueTraces[id] = &s.Series
 		res.MeanQueue[id] = s.Series.Mean()
 	}
-	if sc.Deployment != nil {
-		for _, c := range sc.Deployment.Controllers {
-			key := fmt.Sprintf("%v->%v", c.Node, c.Successor)
-			res.CWTraces[key] = c.CWTrace
-			res.FinalCW[key] = c.Queue.CWmin()
-		}
+	for _, c := range ctl.EZControllers(sc.Ctl) {
+		key := fmt.Sprintf("%v->%v", c.Node, c.Successor)
+		res.CWTraces[key] = c.CWTrace
+		res.FinalCW[key] = c.Queue.CWmin()
 	}
 	if sc.Ctl != nil {
 		res.OverheadBytes = sc.Ctl.OverheadBytes()

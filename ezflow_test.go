@@ -3,6 +3,7 @@ package ezflow
 import (
 	"testing"
 
+	"ezflow/internal/ctl"
 	"ezflow/internal/mesh"
 	"ezflow/internal/sim"
 )
@@ -93,7 +94,6 @@ func TestEZFlowStabilizesChain(t *testing.T) {
 func TestPenaltyMode(t *testing.T) {
 	cfg := quickCfg(ModePenalty, 300*Second)
 	cfg.PenaltyQ = 1.0 / 64
-	cfg.PenaltyRelayCW = 16
 	res := NewChain(4, cfg, FlowSpec{Flow: 1, RateBps: 2e6}).Run()
 	plain := NewChain(4, quickCfg(Mode80211, 300*Second),
 		FlowSpec{Flow: 1, RateBps: 2e6}).Run()
@@ -252,7 +252,7 @@ func TestTreeScenarioAPI(t *testing.T) {
 	if res.AggKbps <= 0 {
 		t.Fatal("tree delivered nothing")
 	}
-	if len(sc.Deployment.Controllers) == 0 {
+	if len(sc.Ctl.(*ctl.Deployment).Relays) == 0 {
 		t.Fatal("no controllers on the tree")
 	}
 }

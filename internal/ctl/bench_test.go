@@ -67,11 +67,28 @@ func BenchmarkCtlFeedbackOnOverhear(b *testing.B) {
 	}
 }
 
+// BenchmarkCtlEZFlowOnOverhear drives the EZ-Flow controller's overhear
+// path with a matched successor forward: the relay recorded the packet as
+// sent, so every overhear yields a BOE estimate for the CAA. Zero
+// allocs/op, pinned by the bench gate.
+func BenchmarkCtlEZFlowOnOverhear(b *testing.B) {
+	dep, r := hotSetup(b, "ezflow")
+	p := pkt.NewPacket(1, 42, r.Node, 99, 1028, 0)
+	dep.Ctrl.OnSent(r, &pkt.Frame{Type: pkt.FrameData, TxSrc: r.Node, TxDst: r.Successor, Payload: p})
+	f := &pkt.Frame{Type: pkt.FrameData, TxSrc: r.Successor, TxDst: 99, Payload: p}
+	ci := pkt.CaptureInfo{Listener: r.Node, OnAir: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dep.Ctrl.OnOverhear(r, f, ci)
+	}
+}
+
 // TestHotHooksDoNotAllocate is the in-suite version of the bench-gate
 // zero-alloc pins, so `go test` alone catches an allocation sneaking into
 // the controller hot path.
 func TestHotHooksDoNotAllocate(t *testing.T) {
-	for _, name := range []string{"backpressure", "feedback", "staticcap"} {
+	for _, name := range []string{"backpressure", "ezflow", "feedback", "staticcap"} {
 		cfg := ezflow.DefaultConfig()
 		cfg.Duration = 5 * ezflow.Second
 		cfg.Controller = name
@@ -81,10 +98,14 @@ func TestHotHooksDoNotAllocate(t *testing.T) {
 		p := pkt.NewPacket(1, 42, r.Node, 99, 1028, 0)
 		f := &pkt.Frame{Type: pkt.FrameData, TxSrc: r.Successor, TxDst: 99, Payload: p, HasBP: true, BPLen: 3}
 		ci := pkt.CaptureInfo{Listener: r.Node, OnAir: true}
+		// Record p as sent to the successor, so EZ-Flow's overhear of f is
+		// a matched forward that yields an estimate.
+		sent := &pkt.Frame{Type: pkt.FrameData, TxSrc: r.Node, TxDst: r.Successor, Payload: p}
+		dep.Ctrl.OnSent(r, sent)
 		if n := testing.AllocsPerRun(200, func() {
 			dep.Ctrl.OnOverhear(r, f, ci)
 			dep.Ctrl.OnDequeue(r, p)
-			dep.Ctrl.OnTransmit(r, f)
+			dep.Ctrl.OnSent(r, f)
 		}); n != 0 {
 			t.Errorf("%s: hot hooks allocate %.1f per call, want 0", name, n)
 		}

@@ -1,29 +1,35 @@
 // Package ctl is the pluggable congestion-controller subsystem: it turns
 // the simulator's control plane from a hardcoded mode switch into an
 // extension point. A Controller is a per-relay control algorithm driven by
-// five hooks (enqueue, dequeue, transmit, overhear, tick) whose only
+// five hooks (enqueue, dequeue, sent, overhear, tick) whose only
 // actuator is the Caps handle — the MAC admission window (CWmin) of the
 // queue it controls, the same single knob EZ-Flow restricts itself to.
 //
-// Controllers register themselves by name (Register/ByName) and every
-// layer above — ezflow.Config.Controller, scenario JSON files, the
-// campaign "controller" sweep axis, and the ezsim/ezcampaign/ezbench CLIs
-// — selects them from the registry, so adding a controller is one file
-// plus an init function.
+// Controllers register themselves by name (Register; Registry.Get and
+// Registry.Lookup find them) and every layer above —
+// ezflow.Config.Controller, scenario JSON files, the campaign
+// "controller" sweep axis, and the ezsim/ezcampaign/ezbench CLIs —
+// selects them from the registry, so adding a controller is one file plus
+// an init function.
 //
-// Four families ship with the repository, completing the evaluation
+// Six controllers ship with the repository, completing the evaluation
 // matrix the paper argues against (hop-by-hop schemes that rely on
 // explicit signalling, vs EZ-Flow's passive estimation):
 //
-//   - ezflow: the paper's BOE+CAA pair, message-free (internal/ezflow);
+//   - ezflow: the paper's BOE+CAA pair, message-free (its estimator and
+//     window adaptation live in internal/ezflow);
 //   - backpressure: queue-differential scheduling that piggybacks real
 //     queue lengths on data frames (a 2-byte header charged on the air);
 //   - feedback: explicit per-hop rate-feedback control frames, injected
 //     into the MAC and consuming airtime like any data frame;
 //   - staticcap: a fixed per-hop admission window, the degenerate control;
+//   - penalty: the static source-throttling scheme of [9];
+//   - diffq: the DiffQ-style differential-backlog scheme of [31], which
+//     piggybacks node backlogs on data frames.
 //
-// plus the legacy baselines (penalty, diffq) re-homed onto the registry so
-// the historical ezflow.Mode values are thin wrappers over it.
+// The first four are hook-based Controllers installed by Deploy; penalty
+// and diffq are node-wide schemes that implement Instance directly. The
+// historical ezflow.Mode values are thin wrappers over the registry.
 //
 // Determinism contract: controllers run inside one scenario's
 // single-threaded event loop. They must derive randomness only from the
@@ -114,11 +120,11 @@ type Controller interface {
 	// MAC (acknowledged or dropped at the retry limit). Queue flushes from
 	// node churn bypass it.
 	OnDequeue(r *Relay, p *pkt.Packet)
-	// OnTransmit runs on every outgoing data frame of the relay's node —
-	// every attempt, before air time is computed — so the controller may
-	// piggyback header fields (Frame.HasBP/BPLen). Check f.Retry for
-	// first-attempt-only semantics.
-	OnTransmit(r *Relay, f *pkt.Frame)
+	// OnSent observes every data frame the relay's node puts on the air,
+	// first attempt only (retries excluded). It must not change what goes
+	// on the air: a controller that piggybacks header fields registers
+	// its own MAC stamp (mac.AddTxStamp), as backpressure does.
+	OnSent(r *Relay, f *pkt.Frame)
 	// OnOverhear observes every frame the relay's node decodes in monitor
 	// mode (its own unicast traffic included).
 	OnOverhear(r *Relay, f *pkt.Frame, ci pkt.CaptureInfo)
@@ -139,8 +145,8 @@ func (NopHooks) OnEnqueue(*Relay, *pkt.Packet) {}
 // OnDequeue implements Controller with a no-op.
 func (NopHooks) OnDequeue(*Relay, *pkt.Packet) {}
 
-// OnTransmit implements Controller with a no-op.
-func (NopHooks) OnTransmit(*Relay, *pkt.Frame) {}
+// OnSent implements Controller with a no-op.
+func (NopHooks) OnSent(*Relay, *pkt.Frame) {}
 
 // OnOverhear implements Controller with a no-op.
 func (NopHooks) OnOverhear(*Relay, *pkt.Frame, pkt.CaptureInfo) {}

@@ -25,7 +25,7 @@ func TestRegistry(t *testing.T) {
 		}
 	}
 	if _, ok := ctl.Registry.Lookup("no-such-controller"); ok {
-		t.Error("ByName accepted an unknown name")
+		t.Error("Lookup accepted an unknown name")
 	}
 	if u := ctl.Registry.Usage(); !strings.Contains(u, "backpressure") || !strings.Contains(u, "ezflow") {
 		t.Errorf("Usage() missing controllers:\n%s", u)
@@ -233,14 +233,14 @@ func TestModeWrappers(t *testing.T) {
 // end to end through a real scenario.
 type recordingCtl struct {
 	ctl.NopHooks
-	attach, enq, deq, tx, over, tick int
+	attach, enq, deq, sent, over, tick int
 }
 
 func (c *recordingCtl) Name() string                                       { return "recording" }
 func (c *recordingCtl) Attach(*ctl.Relay)                                  { c.attach++ }
 func (c *recordingCtl) OnEnqueue(*ctl.Relay, *pkt.Packet)                  { c.enq++ }
 func (c *recordingCtl) OnDequeue(*ctl.Relay, *pkt.Packet)                  { c.deq++ }
-func (c *recordingCtl) OnTransmit(*ctl.Relay, *pkt.Frame)                  { c.tx++ }
+func (c *recordingCtl) OnSent(*ctl.Relay, *pkt.Frame)                      { c.sent++ }
 func (c *recordingCtl) OnOverhear(*ctl.Relay, *pkt.Frame, pkt.CaptureInfo) { c.over++ }
 func (c *recordingCtl) OnTick(*ctl.Relay)                                  { c.tick++ }
 
@@ -251,7 +251,7 @@ func TestDeploymentHooks(t *testing.T) {
 	cfg.Duration = 10 * ezflow.Second
 	sc := ezflow.NewChain(4, cfg, ezflow.FlowSpec{Flow: 1, RateBps: 2e6})
 	rec := &recordingCtl{}
-	dep := ctl.Deploy(sc.Mesh, rec, 1*ezflow.Second, ctl.DefaultOptions())
+	dep := ctl.Deploy(sc.Mesh, rec, 1*ezflow.Second)
 	// A 4-hop chain (N0..N4) controls the queues whose next hop is a
 	// relay: N0's source queue toward N1, and the forwarding queues
 	// N1->N2 and N2->N3. N3 drains into the destination, so its queue
@@ -264,7 +264,7 @@ func TestDeploymentHooks(t *testing.T) {
 		t.Errorf("attach = %d, want %d", rec.attach, len(dep.Relays))
 	}
 	for name, n := range map[string]int{
-		"enqueue": rec.enq, "dequeue": rec.deq, "transmit": rec.tx,
+		"enqueue": rec.enq, "dequeue": rec.deq, "sent": rec.sent,
 		"overhear": rec.over, "tick": rec.tick,
 	} {
 		if n == 0 {
@@ -273,5 +273,45 @@ func TestDeploymentHooks(t *testing.T) {
 	}
 	if rec.deq > rec.enq {
 		t.Errorf("dequeues (%d) exceed enqueues (%d)", rec.deq, rec.enq)
+	}
+}
+
+// firstRTSNAV runs a 4-hop RTS/CTS chain under the named controller ("" =
+// plain 802.11) and returns the NAV of the first RTS the source sends, as
+// its next hop decodes it.
+func firstRTSNAV(t *testing.T, name string) (ezflow.Time, *ezflow.Scenario) {
+	t.Helper()
+	cfg := ezflow.DefaultConfig()
+	cfg.Duration = 2 * ezflow.Second
+	cfg.MAC.UseRTSCTS = true
+	cfg.Controller = name
+	sc := ezflow.NewChain(4, cfg, ezflow.FlowSpec{Flow: 1, RateBps: 2e6})
+	nav := ezflow.Time(-1)
+	sc.Mesh.Node(1).MAC.AddTap(func(f *pkt.Frame, _ pkt.CaptureInfo) {
+		if nav < 0 && f.Type == pkt.FrameRTS && f.TxSrc == 0 {
+			nav = f.NAV
+		}
+	})
+	sc.Run()
+	if nav < 0 {
+		t.Fatalf("%q: the source sent no RTS", name)
+	}
+	return nav, sc
+}
+
+// TestRTSNAVReservesOnlyPiggybackedBytes pins the stamp contract under
+// RTS/CTS: only a piggybacking controller registers a MAC stamp, so only
+// its RTS reserves air time for the backpressure header. A staticcap
+// relay's RTS reserves exactly what plain 802.11's does for the same
+// packet; a backpressure relay's reserves BPHeaderBytes more.
+func TestRTSNAVReservesOnlyPiggybackedBytes(t *testing.T) {
+	plain, sc := firstRTSNAV(t, "")
+	if got, _ := firstRTSNAV(t, "staticcap"); got != plain {
+		t.Errorf("staticcap RTS NAV = %v, want plain 802.11's %v", got, plain)
+	}
+	data := pkt.DefaultPayloadBytes + pkt.MACHeaderBytes
+	want := plain - sc.Mesh.Ch.AirTime(data) + sc.Mesh.Ch.AirTime(data+pkt.BPHeaderBytes)
+	if got, _ := firstRTSNAV(t, "backpressure"); got != want {
+		t.Errorf("backpressure RTS NAV = %v, want %v (plain %v plus the header)", got, want, plain)
 	}
 }

@@ -8,9 +8,11 @@ import (
 )
 
 // Deployment wires one hook-based Controller over a mesh: one Relay per
-// queue whose next hop is a relay of some flow (the same coverage rule as
-// the EZ-Flow deployment — queues draining straight into a destination
-// have no downstream buffer to protect). It implements Instance.
+// queue whose next hop is a relay of some flow. Queues draining straight
+// into a destination have no downstream buffer to protect — their
+// successor never forwards, so EZ-Flow's estimator would never hear
+// anything, the paper's case where the last hop needs no control. It
+// implements Instance.
 type Deployment struct {
 	// Ctrl is the deployed controller.
 	Ctrl Controller
@@ -18,7 +20,6 @@ type Deployment struct {
 	// creation) order.
 	Relays []*Relay
 
-	opts     Options
 	tick     sim.Time
 	attached map[*mac.Queue]bool
 	// own marks queues created by the controller itself (ControlQueue);
@@ -36,10 +37,9 @@ type ctlQKey struct {
 
 // Deploy installs ctrl over the mesh with a per-relay tick period (0 = no
 // ticks) and returns the deployment handle.
-func Deploy(m *mesh.Mesh, ctrl Controller, tick sim.Time, opts Options) *Deployment {
+func Deploy(m *mesh.Mesh, ctrl Controller, tick sim.Time) *Deployment {
 	d := &Deployment{
 		Ctrl:     ctrl,
-		opts:     opts,
 		tick:     tick,
 		attached: make(map[*mac.Queue]bool),
 		own:      make(map[*mac.Queue]bool),
@@ -51,7 +51,8 @@ func Deploy(m *mesh.Mesh, ctrl Controller, tick sim.Time, opts Options) *Deploym
 
 // Extend implements Instance: it attaches the controller to queues that
 // appeared since the previous pass (deployment, then after every route
-// repair). Already-controlled queues keep their state and hooks.
+// repair). Already-controlled queues keep their state and hooks, so an
+// EZ-Flow relay's estimator and window trajectory survive the repair.
 func (d *Deployment) Extend(m *mesh.Mesh) {
 	relays := m.RelaySet()
 	for _, n := range m.Nodes() {
@@ -77,15 +78,16 @@ func (d *Deployment) Extend(m *mesh.Mesh) {
 	}
 }
 
-// wire binds the relay's hooks to its MAC and queue. Closures are built
-// once per relay; the per-event path through them allocates nothing.
+// wire binds the relay's hooks to its MAC and queue: the sent-frame
+// notification, then the promiscuous tap. Closures are built once per
+// relay; the per-event path through them allocates nothing.
 func (d *Deployment) wire(r *Relay, q *mac.Queue) {
 	ctrl := d.Ctrl
 	q.SetHooks(
 		func(p *pkt.Packet) { ctrl.OnEnqueue(r, p) },
 		func(p *pkt.Packet) { ctrl.OnDequeue(r, p) },
 	)
-	r.MAC.AddTxStamp(func(f *pkt.Frame) { ctrl.OnTransmit(r, f) })
+	r.MAC.AddTxNotify(func(f *pkt.Frame) { ctrl.OnSent(r, f) })
 	r.MAC.AddTap(func(f *pkt.Frame, ci pkt.CaptureInfo) { ctrl.OnOverhear(r, f, ci) })
 	if d.tick > 0 {
 		var fire func()

@@ -8,54 +8,31 @@ import (
 	"ezflow/internal/registry"
 )
 
-// Options carries every controller family's tunables. Zero values select
-// the documented defaults (FillDefaults); a scenario passes one Options to
-// whichever controller it deploys, so sweeping controllers never changes
-// anything but the controller.
+// Options carries the tunables of the controllers that have any: EZ-Flow
+// and the penalty scheme. Zero values select the defaults. A scenario
+// passes one Options to whichever controller it deploys, so sweeping
+// controllers never changes anything but the controller.
 type Options struct {
 	// EZ configures the ezflow controller (CAA thresholds, sniff loss).
 	EZ ez.Options
-	// Penalty configures the static penalty baseline of [9].
-	Penalty PenaltyConfig
-	// Static configures the staticcap controller.
-	Static StaticConfig
-	// Backpressure configures the queue-differential controller.
-	Backpressure BackpressureConfig
-	// Feedback configures the explicit rate-feedback controller.
-	Feedback FeedbackConfig
+	// PenaltyQ is the penalty controller's throttling factor in (0, 1]:
+	// relays keep a window of 16 and flow sources use 16/PenaltyQ.
+	PenaltyQ float64
 }
 
-// PenaltyConfig parameterises the penalty controller: sources are
-// throttled to cwRelay/Q while relays use RelayCW.
-type PenaltyConfig struct {
-	// Q is the topology-dependent throttling factor in (0, 1].
-	Q float64
-	// RelayCW is the relay contention window.
-	RelayCW int
-}
+// DefaultPenaltyQ is the penalty factor the paper's comparison uses:
+// q = 2^4/2^11, the stable regime EZ-Flow rediscovers (§5.2).
+const DefaultPenaltyQ = 1.0 / 128
 
-// DefaultOptions returns every family's defaults.
-func DefaultOptions() Options {
-	var o Options
-	FillDefaults(&o)
-	return o
-}
-
-// FillDefaults replaces zero values with each family's defaults, leaving
-// caller-set fields alone.
-func FillDefaults(o *Options) {
+// fillDefaults replaces zero (or, for PenaltyQ, out-of-range) values with
+// the defaults, leaving caller-set fields alone.
+func (o *Options) fillDefaults() {
 	if o.EZ.CAA.Window == 0 {
 		o.EZ.CAA = ez.DefaultCAAConfig()
 	}
-	if o.Penalty.Q <= 0 || o.Penalty.Q > 1 {
-		o.Penalty.Q = 1.0 / 128
+	if o.PenaltyQ <= 0 || o.PenaltyQ > 1 {
+		o.PenaltyQ = DefaultPenaltyQ
 	}
-	if o.Penalty.RelayCW <= 0 {
-		o.Penalty.RelayCW = 16
-	}
-	o.Static.fillDefaults()
-	o.Backpressure.fillDefaults()
-	o.Feedback.fillDefaults()
 }
 
 // Instance is a controller installed over one scenario's mesh.
@@ -71,13 +48,6 @@ type Instance interface {
 	OverheadBytes() uint64
 }
 
-// EZInstance is implemented by the ezflow instance so the scenario layer
-// can keep exporting contention-window traces.
-type EZInstance interface {
-	// EZ returns the underlying BOE/CAA deployment.
-	EZ() *ez.Deployment
-}
-
 // Info describes one registered controller.
 type Info struct {
 	// Name is the registry key ("ezflow", "backpressure", ...).
@@ -85,7 +55,7 @@ type Info struct {
 	// Summary is the one-line description CLI usage strings embed.
 	Summary string
 	// Deploy installs the controller over a mesh. Implementations fill
-	// their own Options defaults, so callers may pass a zero Options.
+	// the Options defaults they read, so callers may pass a zero Options.
 	Deploy func(m *mesh.Mesh, opts Options) Instance
 }
 

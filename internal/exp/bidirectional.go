@@ -1,7 +1,7 @@
 package exp
 
 import (
-	ez "ezflow/internal/ezflow"
+	"ezflow/internal/ctl"
 	"ezflow/internal/mac"
 	"ezflow/internal/mesh"
 	"ezflow/internal/phy"
@@ -49,7 +49,8 @@ func Bidirectional(o Options) *BidirectionalResult {
 		}
 		transport.InstallBidirectional(m, 1, path)
 		if withEZ {
-			ez.Deploy(m, ez.DefaultOptions())
+			ezflow, _ := ctl.Registry.Lookup("ezflow")
+			ezflow.Deploy(m, ctl.Options{})
 		}
 		cfg := transport.DefaultConfig()
 		cfg.MaxWindow = 200

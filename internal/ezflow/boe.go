@@ -1,11 +1,12 @@
 // Package ezflow implements the paper's contribution: the EZ-Flow
 // distributed flow-control mechanism, composed of a Buffer Occupancy
-// Estimator (BOE) and a Channel Access Adaptation (CAA) module, wired to
-// the MAC only through the per-queue CWmin knob and the promiscuous tap —
-// never through message passing.
+// Estimator (BOE) and a Channel Access Adaptation (CAA) module, which see
+// only the node's own transmissions and the frames it overhears, and act
+// only on the per-queue CWmin knob — never through message passing.
 //
-// One Controller runs per (node, successor) pair, exactly as the paper
-// deploys one EZ-Flow program per relay with per-successor state.
+// One Controller holds the state of one (node, successor) pair, exactly as
+// the paper deploys one EZ-Flow program per relay with per-successor
+// state; internal/ctl deploys it over a mesh like any other controller.
 package ezflow
 
 import (

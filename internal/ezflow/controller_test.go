@@ -1,8 +1,10 @@
-package ezflow
+package ezflow_test
 
 import (
 	"testing"
 
+	"ezflow/internal/ctl"
+	ez "ezflow/internal/ezflow"
 	"ezflow/internal/mac"
 	"ezflow/internal/mesh"
 	"ezflow/internal/phy"
@@ -11,30 +13,65 @@ import (
 	"ezflow/internal/traffic"
 )
 
-func chainWithEZ(t *testing.T, hops int, opts Options) (*sim.Engine, *mesh.Mesh, *Deployment) {
+// deploy installs EZ-Flow over m the way every scenario does: through the
+// controller registry, which hands it to ctl.Deploy.
+func deploy(t *testing.T, m *mesh.Mesh, opts ez.Options) *ctl.Deployment {
+	t.Helper()
+	info, err := ctl.Registry.Get("ezflow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, ok := info.Deploy(m, ctl.Options{EZ: opts}).(*ctl.Deployment)
+	if !ok {
+		t.Fatal("ezflow instance is not a *ctl.Deployment")
+	}
+	return dep
+}
+
+// at returns the EZ-Flow controllers installed at node n.
+func at(dep *ctl.Deployment, n pkt.NodeID) []*ez.Controller {
+	var cs []*ez.Controller
+	for _, c := range ctl.EZControllers(dep) {
+		if c.Node == n {
+			cs = append(cs, c)
+		}
+	}
+	return cs
+}
+
+// controller returns the controller at node n watching successor s, or nil.
+func controller(dep *ctl.Deployment, n, s pkt.NodeID) *ez.Controller {
+	for _, c := range at(dep, n) {
+		if c.Successor == s {
+			return c
+		}
+	}
+	return nil
+}
+
+func chainWithEZ(t *testing.T, hops int, opts ez.Options) (*sim.Engine, *mesh.Mesh, *ctl.Deployment) {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	m := mesh.Chain(eng, hops, phy.DefaultConfig(), mac.DefaultConfig())
-	dep := Deploy(m, opts)
-	return eng, m, dep
+	return eng, m, deploy(t, m, opts)
 }
 
 func TestDeployPlacesControllers(t *testing.T) {
-	_, _, dep := chainWithEZ(t, 4, DefaultOptions())
+	_, _, dep := chainWithEZ(t, 4, ez.DefaultOptions())
 	// Relays of the 4-hop chain are N1, N2, N3. Controllers watch
 	// successors that relay: N0 watches N1, N1 watches N2, N2 watches N3.
 	// N3's successor is the destination (never forwards), so no
 	// controller there.
-	if len(dep.Controllers) != 3 {
-		t.Fatalf("controllers = %d, want 3", len(dep.Controllers))
+	if got := len(ctl.EZControllers(dep)); got != 3 {
+		t.Fatalf("controllers = %d, want 3", got)
 	}
-	if c := dep.Controller(0, 1); c == nil || c.Queue == nil {
+	if c := controller(dep, 0, 1); c == nil || c.Queue == nil {
 		t.Fatal("missing controller N0->N1")
 	}
-	if dep.Controller(3, 4) != nil {
+	if controller(dep, 3, 4) != nil {
 		t.Fatal("controller watching the destination")
 	}
-	if got := len(dep.At(1)); got != 1 {
+	if got := len(at(dep, 1)); got != 1 {
 		t.Fatalf("controllers at N1 = %d", got)
 	}
 }
@@ -43,12 +80,12 @@ func TestControllerEndToEnd(t *testing.T) {
 	// Saturate a 5-hop chain and verify the EZ-Flow feedback loop closes:
 	// estimates flow, decisions fire, the source's cw rises above the
 	// relays' cw, and relay queues stay low on average.
-	eng, m, dep := chainWithEZ(t, 5, DefaultOptions())
+	eng, m, dep := chainWithEZ(t, 5, ez.DefaultOptions())
 	src := traffic.NewCBR(m, 1, 2e6, 1028)
 	src.Start()
 	eng.Run(600 * sim.Second)
 
-	c01 := dep.Controller(0, 1)
+	c01 := controller(dep, 0, 1)
 	if c01.BOE.Estimates == 0 {
 		t.Fatal("BOE produced no estimates")
 	}
@@ -56,12 +93,12 @@ func TestControllerEndToEnd(t *testing.T) {
 		t.Fatal("CAA made no decisions")
 	}
 	cwSource := c01.Queue.CWmin()
-	cwRelay := dep.Controller(2, 3).Queue.CWmin()
+	cwRelay := controller(dep, 2, 3).Queue.CWmin()
 	if cwSource <= cwRelay {
 		t.Fatalf("source cw %d not above relay cw %d (no penalty discovered)",
 			cwSource, cwRelay)
 	}
-	if peak := dep.Controller(1, 2).Queue.PeakDepth; peak == 0 {
+	if peak := controller(dep, 1, 2).Queue.PeakDepth; peak == 0 {
 		t.Fatal("relay never buffered anything (no traffic flowed?)")
 	}
 	// The stabilisation claim: the first relay must not end the run with
@@ -72,11 +109,11 @@ func TestControllerEndToEnd(t *testing.T) {
 }
 
 func TestControllerCWTraceMonotoneTimes(t *testing.T) {
-	eng, m, dep := chainWithEZ(t, 4, DefaultOptions())
+	eng, m, dep := chainWithEZ(t, 4, ez.DefaultOptions())
 	src := traffic.NewCBR(m, 1, 2e6, 1028)
 	src.Start()
 	eng.Run(300 * sim.Second)
-	for _, c := range dep.Controllers {
+	for _, c := range ctl.EZControllers(dep) {
 		for i := 1; i < len(c.CWTrace); i++ {
 			if c.CWTrace[i].At < c.CWTrace[i-1].At {
 				t.Fatalf("cw trace times not monotone at %v", c.Node)
@@ -89,24 +126,20 @@ func TestSniffLossDegradesGracefully(t *testing.T) {
 	// §3.2's robustness claim: with 90% of overheard frames dropped the
 	// controller still collects estimates and still stabilises, only
 	// more slowly.
-	opts := DefaultOptions()
-	opts.SniffLoss = 0.9
-	eng, m, dep := chainWithEZ(t, 4, opts)
-	src := traffic.NewCBR(m, 1, 2e6, 1028)
-	src.Start()
-	eng.Run(600 * sim.Second)
-	c := dep.Controller(0, 1)
-	if c.BOE.Estimates == 0 {
+	run := func(sniffLoss float64) *ez.Controller {
+		opts := ez.DefaultOptions()
+		opts.SniffLoss = sniffLoss
+		eng, m, dep := chainWithEZ(t, 4, opts)
+		src := traffic.NewCBR(m, 1, 2e6, 1028)
+		src.Start()
+		eng.Run(600 * sim.Second)
+		return controller(dep, 0, 1)
+	}
+	lossy, full := run(0.9), run(0)
+	if lossy.BOE.Estimates == 0 {
 		t.Fatal("no estimates at all under 90% sniff loss")
 	}
-	full, _, _ := func() (*Deployment, *mesh.Mesh, *sim.Engine) {
-		e2, m2, d2 := chainWithEZ(t, 4, DefaultOptions())
-		s2 := traffic.NewCBR(m2, 1, 2e6, 1028)
-		s2.Start()
-		e2.Run(600 * sim.Second)
-		return d2, m2, e2
-	}()
-	if c.BOE.Estimates >= full.Controller(0, 1).BOE.Estimates {
+	if lossy.BOE.Estimates >= full.BOE.Estimates {
 		t.Fatal("sniff loss did not reduce the estimate rate")
 	}
 }
@@ -116,18 +149,18 @@ func TestDeployMultiFlowSharedRelay(t *testing.T) {
 	// controller per successor, and source nodes of both flows get one.
 	eng := sim.NewEngine(1)
 	m := mesh.Scenario1(eng, phy.DefaultConfig(), mac.DefaultConfig())
-	dep := Deploy(m, DefaultOptions())
+	dep := deploy(t, m, ez.DefaultOptions())
 	// Each relay along the shared trunk N4->N3->N2->N1 watches one
 	// successor; N1's successor N0 is the gateway destination (no
 	// controller).
 	for _, nd := range []struct {
 		node, succ pkt.NodeID
 	}{{4, 3}, {3, 2}, {2, 1}, {12, 10}, {11, 9}, {10, 8}, {9, 7}} {
-		if dep.Controller(nd.node, nd.succ) == nil {
+		if controller(dep, nd.node, nd.succ) == nil {
 			t.Errorf("missing controller %v->%v", nd.node, nd.succ)
 		}
 	}
-	if dep.Controller(1, 0) != nil {
+	if controller(dep, 1, 0) != nil {
 		t.Error("controller toward the gateway destination")
 	}
 }
@@ -135,16 +168,24 @@ func TestDeployMultiFlowSharedRelay(t *testing.T) {
 func TestAttachSingleQueue(t *testing.T) {
 	eng := sim.NewEngine(1)
 	m := mesh.Chain(eng, 3, phy.DefaultConfig(), mac.DefaultConfig())
-	n0 := m.Node(0)
-	q := n0.SourceQueue(1)
-	ctl := Attach(n0, q, DefaultOptions())
-	if ctl.Node != 0 || ctl.Successor != 1 {
-		t.Fatalf("controller identity: %+v", ctl)
+	q := m.Node(0).SourceQueue(1)
+	dep := deploy(t, m, ez.DefaultOptions())
+	var c *ez.Controller
+	for _, r := range dep.Relays {
+		if r.Caps.Queue() == q {
+			c = r.State.(*ez.Controller)
+		}
 	}
-	if len(ctl.CWTrace) != 1 {
+	if c == nil {
+		t.Fatal("source queue N0->N1 not attached")
+	}
+	if c.Node != 0 || c.Successor != 1 || c.Queue != q {
+		t.Fatalf("controller identity: %+v", c)
+	}
+	if len(c.CWTrace) != 1 {
 		t.Fatal("initial cw trace point missing")
 	}
-	if ctl.CAA == nil || ctl.BOE == nil {
+	if c.CAA == nil || c.BOE == nil {
 		t.Fatal("modules not wired")
 	}
 }

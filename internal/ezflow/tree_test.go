@@ -1,8 +1,9 @@
-package ezflow
+package ezflow_test
 
 import (
 	"testing"
 
+	ez "ezflow/internal/ezflow"
 	"ezflow/internal/mac"
 	"ezflow/internal/mesh"
 	"ezflow/internal/phy"
@@ -18,15 +19,15 @@ import (
 func TestDeployTreePerSuccessorControllers(t *testing.T) {
 	eng := sim.NewEngine(1)
 	m := mesh.Tree(eng, 3, 2, phy.DefaultConfig(), mac.DefaultConfig())
-	dep := Deploy(m, DefaultOptions())
+	dep := deploy(t, m, ez.DefaultOptions())
 
 	// Gateway N0 forwards to relays N1, N2, N3 (all interior): three
 	// controllers at N0, one per successor.
-	if got := len(dep.At(0)); got != 3 {
+	if got := len(at(dep, 0)); got != 3 {
 		t.Fatalf("gateway controllers = %d, want 3", got)
 	}
 	succs := map[pkt.NodeID]bool{}
-	for _, c := range dep.At(0) {
+	for _, c := range at(dep, 0) {
 		succs[c.Successor] = true
 		if c.Queue.NextHop() != c.Successor {
 			t.Fatalf("controller %v->%v bound to queue toward %v",
@@ -37,8 +38,8 @@ func TestDeployTreePerSuccessorControllers(t *testing.T) {
 		t.Fatalf("gateway successors watched: %v", succs)
 	}
 	// Interior nodes forward only to leaves: no controllers there.
-	if len(dep.At(1)) != 0 {
-		t.Fatalf("interior-to-leaf node has %d controllers, want 0", len(dep.At(1)))
+	if len(at(dep, 1)) != 0 {
+		t.Fatalf("interior-to-leaf node has %d controllers, want 0", len(at(dep, 1)))
 	}
 }
 
@@ -48,7 +49,7 @@ func TestDeployTreePerSuccessorControllers(t *testing.T) {
 func TestTreeControllersActIndependently(t *testing.T) {
 	eng := sim.NewEngine(1)
 	m := mesh.Tree(eng, 3, 2, phy.DefaultConfig(), mac.DefaultConfig())
-	dep := Deploy(m, DefaultOptions())
+	dep := deploy(t, m, ez.DefaultOptions())
 
 	// Flows 1..3 descend through N1, 4..6 through N2, 7..9 through N3.
 	// Saturate only the flows of the first branch.
@@ -62,8 +63,8 @@ func TestTreeControllersActIndependently(t *testing.T) {
 
 	eng.Run(900 * sim.Second)
 
-	hot := dep.Controller(0, 1)
-	cold := dep.Controller(0, 3)
+	hot := controller(dep, 0, 1)
+	cold := controller(dep, 0, 3)
 	if hot == nil || cold == nil {
 		t.Fatal("missing controllers")
 	}

@@ -78,15 +78,18 @@ type DeliverFunc func(p *pkt.Packet, from pkt.NodeID)
 type TapFunc func(f *pkt.Frame, ci pkt.CaptureInfo)
 
 // TxNotifyFunc observes every data frame this node puts on the air
-// (first attempt only, not retries). EZ-Flow's BOE registers one to record
-// sent identifiers exactly when they are truly transmitted physically.
+// (first attempt only, not retries), after the stamps ran. Every
+// controller relay registers one (ctl's OnSent hook); EZ-Flow's BOE uses
+// it to record sent identifiers exactly when they are truly transmitted
+// physically.
 type TxNotifyFunc func(f *pkt.Frame)
 
 // TxStampFunc runs on every outgoing data frame — every attempt, retries
 // included — before the frame's air time is computed, so it may piggyback
 // header fields (Frame.HasBP/BPLen, Frame.QueueTag) that change what goes
-// on the air. Controllers register stamps via AddTxStamp; the frame's
-// Retry bit is already set when stamps run.
+// on the air. Only a controller that piggybacks header fields registers a
+// stamp via AddTxStamp; the frame's Retry bit is already set when stamps
+// run.
 type TxStampFunc func(f *pkt.Frame)
 
 // DropFunc observes packets dropped by this MAC with a reason.
@@ -872,11 +875,12 @@ func (m *MAC) sendData() {
 }
 
 func (m *MAC) sendRTS() {
-	// Stamps may grow the coming data frame by the optional backpressure
-	// header, which does not exist yet when the NAV is computed; reserve
-	// for it whenever stamps are registered. A stamp that adds no on-air
-	// bytes leaves the NAV 2 bytes long — over-reservation is benign,
-	// under-reservation would let neighbours contend into the data frame.
+	// Only a piggybacking controller registers a stamp, and its stamp may
+	// grow the coming data frame by the optional backpressure header,
+	// which does not exist yet when the NAV is computed; reserve for it
+	// whenever stamps are registered. Without stamps the NAV is exactly
+	// plain 802.11's. Under-reservation would let neighbours contend into
+	// the data frame.
 	extra := 0
 	if len(m.stamps) > 0 {
 		extra = pkt.BPHeaderBytes
