@@ -49,8 +49,8 @@ func Bidirectional(o Options) *BidirectionalResult {
 		}
 		transport.InstallBidirectional(m, 1, path)
 		if withEZ {
-			ezflow, _ := ctl.Registry.Lookup("ezflow")
-			ezflow.Deploy(m, ctl.Options{})
+			info, _ := ctl.Registry.Lookup("ezflow") // registered by ctl's init
+			info.Deploy(m, ctl.Options{})
 		}
 		cfg := transport.DefaultConfig()
 		cfg.MaxWindow = 200

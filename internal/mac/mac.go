@@ -78,10 +78,9 @@ type DeliverFunc func(p *pkt.Packet, from pkt.NodeID)
 type TapFunc func(f *pkt.Frame, ci pkt.CaptureInfo)
 
 // TxNotifyFunc observes every data frame this node puts on the air
-// (first attempt only, not retries), after the stamps ran. Every
-// controller relay registers one (ctl's OnSent hook); EZ-Flow's BOE uses
-// it to record sent identifiers exactly when they are truly transmitted
-// physically.
+// (first attempt only, not retries), after the stamps ran. EZ-Flow's BOE
+// uses one (ctl's OnSent hook) to record sent identifiers exactly when
+// they are truly transmitted physically.
 type TxNotifyFunc func(f *pkt.Frame)
 
 // TxStampFunc runs on every outgoing data frame — every attempt, retries

@@ -126,8 +126,8 @@ func TestEZFlowUnderBidirectionalTraffic(t *testing.T) {
 		}
 		InstallBidirectional(m, 1, path)
 		if withEZ {
-			ezflow, _ := ctl.Registry.Lookup("ezflow")
-			ezflow.Deploy(m, ctl.Options{})
+			info, _ := ctl.Registry.Lookup("ezflow") // registered by ctl's init
+			info.Deploy(m, ctl.Options{})
 		}
 		cfg := DefaultConfig()
 		cfg.MaxWindow = 200 // aggressive enough to congest the backhaul
