@@ -23,7 +23,9 @@ test:
 # fuzz is a short smoke over the hostile-input decoders: the scenario
 # JSON loader, the run-setting table that parses ezsim flags and campaign
 # axes, the shard worker frame protocol (plus the chaos-spec grammar),
-# and the mobility trace-file parser. Ten seconds each is
+# and the mobility trace-file parser; plus the PHY neighbor index under
+# fuzzed layouts and move/link-state scripts, checked against its
+# all-pairs oracle. Ten seconds each is
 # enough to catch decode panics in CI; crank FUZZTIME for a real soak.
 FUZZTIME ?= 10s
 fuzz:
@@ -32,6 +34,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzWorkerFrames$$' -fuzztime=$(FUZZTIME) ./internal/campaign
 	$(GO) test -run='^$$' -fuzz='^FuzzParseChaos$$' -fuzztime=$(FUZZTIME) ./internal/campaign
 	$(GO) test -run='^$$' -fuzz='^FuzzParseMobilityTrace$$' -fuzztime=$(FUZZTIME) ./internal/mobility
+	$(GO) test -run='^$$' -fuzz='^FuzzNeighborIndex$$' -fuzztime=$(FUZZTIME) ./internal/phy
 
 # lint enforces the godoc conventions (package docs everywhere, exported
 # symbol docs in the public ezflow package and all internal packages).

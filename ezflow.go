@@ -636,9 +636,11 @@ type Result struct {
 	// MeanQueue maps node -> time-average backlog.
 	MeanQueue map[NodeID]float64
 	// CWTraces maps "node->succ" -> contention window trace points
-	// (EZ-Flow mode only).
+	// (EZ-Flow mode only). When a node controls both a source and a
+	// forwarding queue toward the same successor, the source queue is
+	// keyed "node->succ/src".
 	CWTraces map[string][]ez.CWPoint
-	// FinalCW maps "node->succ" -> cw at the end of the run.
+	// FinalCW maps the CWTraces keys -> cw at the end of the run.
 	FinalCW map[string]int
 	// Overhead reports extra control bytes put on the air: 0 for EZ-Flow
 	// and plain 802.11 (message-free), positive for the explicit-signalling
@@ -710,8 +712,19 @@ func (sc *Scenario) Run() *Result {
 		res.QueueTraces[id] = &s.Series
 		res.MeanQueue[id] = s.Series.Mean()
 	}
-	for _, c := range ctl.EZControllers(sc.Ctl) {
+	ezs := ctl.EZControllers(sc.Ctl)
+	keys := make(map[string]int, len(ezs))
+	for _, c := range ezs {
+		keys[fmt.Sprintf("%v->%v", c.Node, c.Successor)]++
+	}
+	for _, c := range ezs {
+		// A node that sources one flow and relays another toward the same
+		// successor controls two queues; the source queue's key gets a
+		// suffix so both survive, and every unique key stays "N->S".
 		key := fmt.Sprintf("%v->%v", c.Node, c.Successor)
+		if keys[key] > 1 && sc.Mesh.Node(c.Node).IsSourceQueue(c.Queue) {
+			key += "/src"
+		}
 		res.CWTraces[key] = c.CWTrace
 		res.FinalCW[key] = c.Queue.CWmin()
 	}

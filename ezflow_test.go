@@ -123,6 +123,38 @@ func TestEZFlowZeroOverhead(t *testing.T) {
 	}
 }
 
+// TestCWKeysPerControlledQueue checks that every EZ-Flow controller gets
+// its own CWTraces/FinalCW entry. On a 4-hop chain with a second flow
+// sourced at N1, N1 controls a source and a forwarding queue toward N2:
+// the forwarding queue keeps "N1->N2" and the source queue is keyed
+// "N1->N2/src".
+func TestCWKeysPerControlledQueue(t *testing.T) {
+	cfg := quickCfg(ModeEZFlow, 30*Second)
+	sc := NewScenario(cfg, func(eng *sim.Engine) *mesh.Mesh {
+		m := mesh.Chain(eng, 4, cfg.PHY, cfg.MAC)
+		m.SetRoute(2, []NodeID{1, 2, 3, 4})
+		return m
+	}, FlowSpec{Flow: 1, RateBps: 2e5}, FlowSpec{Flow: 2, RateBps: 2e5})
+	res := sc.Run()
+	ezs := ctl.EZControllers(sc.Ctl)
+	if len(res.FinalCW) != len(ezs) || len(res.CWTraces) != len(ezs) {
+		t.Fatalf("%d controllers, %d FinalCW and %d CWTraces keys", len(ezs), len(res.FinalCW), len(res.CWTraces))
+	}
+	src := sc.Mesh.Node(1).SourceQueue(2)
+	fwd := sc.Mesh.Node(1).ForwardQueue(2)
+	if got := res.FinalCW["N1->N2/src"]; got != src.CWmin() {
+		t.Errorf("N1->N2/src final cw %d, source queue has %d", got, src.CWmin())
+	}
+	if got := res.FinalCW["N1->N2"]; got != fwd.CWmin() {
+		t.Errorf("N1->N2 final cw %d, forwarding queue has %d", got, fwd.CWmin())
+	}
+	for _, k := range []string{"N0->N1", "N2->N3"} {
+		if _, ok := res.FinalCW[k]; !ok {
+			t.Errorf("unique key %s missing from %v", k, res.FinalCW)
+		}
+	}
+}
+
 func TestFlowSchedules(t *testing.T) {
 	sc := NewChain(3, quickCfg(Mode80211, 120*Second),
 		FlowSpec{Flow: 1, RateBps: 1e5, Start: 30 * Second, Stop: 60 * Second})

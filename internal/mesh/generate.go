@@ -170,27 +170,25 @@ func samplePositions(rng *rand.Rand, n int, radius float64) []phy.Position {
 // range R, and 0 below it. Short links stay clean, marginal links near
 // the range limit approach maxLoss — the SNR-driven quality gradient real
 // deployments measure (the paper's Table 1 testbed losses range 0–43%).
-// Node pairs are visited in ascending id order, so the resulting loss
-// table is a pure function of the placement.
+// Links are visited in ascending (sender, receiver) id order, walking
+// each station's decode-range neighbors from the PHY index, so the
+// resulting loss table is a pure function of the placement.
 func (m *Mesh) ApplyEdgeLoss(maxLoss float64) {
 	if maxLoss <= 0 {
 		return
 	}
-	ids := m.Ch.NodeIDs()
 	r := m.Ch.Config().TxRange
 	half := r / 2
-	for _, a := range ids {
+	var nbrs []pkt.NodeID
+	for _, n := range m.Nodes() {
+		a := n.ID
 		pa := m.Ch.Position(a)
-		for _, b := range ids {
-			if a == b {
-				continue
+		nbrs = m.Ch.DecodeNeighbors(a, nbrs[:0])
+		for _, b := range nbrs {
+			if d := pa.Dist(m.Ch.Position(b)); d > half {
+				frac := (d - half) / half
+				m.Ch.SetLinkLoss(a, b, maxLoss*frac*frac)
 			}
-			d := pa.Dist(m.Ch.Position(b))
-			if d > r || d <= half {
-				continue
-			}
-			frac := (d - half) / half
-			m.Ch.SetLinkLoss(a, b, maxLoss*frac*frac)
 		}
 	}
 }

@@ -56,6 +56,10 @@ func (n *Node) SourceQueue(next pkt.NodeID) *mac.Queue {
 	return q
 }
 
+// IsSourceQueue reports whether q is one of the node's local-traffic
+// queues (as opposed to a forwarding or controller-owned queue).
+func (n *Node) IsSourceQueue(q *mac.Queue) bool { return n.srcQ[q.NextHop()] == q }
+
 // Queues returns every MAC queue of the node.
 func (n *Node) Queues() []*mac.Queue { return n.MAC.Queues() }
 

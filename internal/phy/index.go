@@ -3,16 +3,18 @@
 // with per-pair math.Hypot/math.Pow and map lookups into an O(degree)
 // walk over flat, cache-resident link records.
 //
-// Geometry changes only through explicit position updates (phy.MoveNode,
-// driven by the mobility subsystem), so distances, received powers, and
-// the in-CS-range/in-Tx-range predicates are computed once, when wiring
-// calls BuildIndex (or, on a bare channel, at the first transmission),
-// and thereafter patched incrementally per move (move.go) instead of
-// rebuilt. The other mutable
-// per-link state — erasure probability and severed flags, which the
-// dynamics subsystem toggles mid-run — is folded into the same records
-// and patched in place by SetLinkLoss/SetLinkDown, so the hot path never
-// consults the loss/down maps.
+// The index has one lifecycle: it is built once, when wiring calls
+// BuildIndex (or, on a bare channel, at the first query that needs it),
+// and is only patched after that. Each station's list is the neighbor
+// kernel's answer (SpatialGrid.Within, grid.go) turned into link records
+// by appendLinks, which holds the distances, received powers and
+// in-CS-range/in-Tx-range predicates. MoveNode patches the lists of a
+// moving station and its neighbors through the same helper (move.go).
+// The other mutable per-link state — erasure probability and severed
+// flags, which the dynamics subsystem toggles mid-run — is folded into
+// the same records at the build and patched in place by
+// SetLinkLoss/SetLinkDown, so the hot path never consults the loss/down
+// maps. Stations join only before the build: AddNode afterwards panics.
 //
 // Correctness bound: a neighbor list must contain every station one
 // transmission can observably affect. Carrier sense and receiver locking
@@ -34,7 +36,6 @@ package phy
 
 import (
 	"math"
-	"slices"
 
 	"ezflow/internal/pkt"
 )
@@ -73,93 +74,73 @@ func (c Config) interferenceRange() float64 {
 	return c.CSRange * math.Pow(cr, 1/c.PathLossExp) * (1 + 1e-9)
 }
 
-// buildIndex assigns dense slots in id order and computes every
-// station's neighbor list via a spatial hash, O(N·degree) for spatially
-// bounded deployments. Called by BuildIndex, or lazily by the first
-// transmission after a topology change; it reads the loss/down maps so
-// records are coherent with mutations applied before the freeze. Dense
-// per-slot event state (sensed counts, busy flags, locked receptions) is
-// migrated from the previous slot assignment, so a rebuild between
-// flights is transparent.
+// buildIndex assigns dense slots in id order, buckets the stations into
+// the spatial grid MoveNode keeps patching, and computes every station's
+// neighbor list with the kernel, O(N·degree) for spatially bounded
+// deployments. It reads the loss/down maps, so records are coherent with
+// mutations applied before the build.
 func (c *Channel) buildIndex() {
 	n := len(c.order)
-	r := c.cfg.interferenceRange()
 	pos := make([]Position, n)
-	sensed := make([]int32, n)
-	busy := make([]bool, n)
-	rx := make([]reception, n)
 	for i, st := range c.order {
-		if st.slot >= 0 && int(st.slot) < len(c.sensed) {
-			sensed[i] = c.sensed[st.slot]
-			busy[i] = c.busyTx[st.slot]
-			rx[i] = c.rx[st.slot]
-		}
 		st.slot = int32(i)
 		pos[i] = st.pos
 	}
-	c.sensed, c.busyTx, c.rx = sensed, busy, rx
-
-	g := NewSpatialGrid(pos, r)
-	c.grid = g
-	cand := c.scratch
+	c.sensed, c.busyTx, c.rx = make([]int32, n), make([]bool, n), make([]reception, n)
+	c.grid = NewSpatialGrid(pos, c.cfg.interferenceRange())
 	// All per-station lists are appended into three shared arenas and
 	// sub-sliced afterwards (the arenas may reallocate while growing):
 	// one allocation each instead of three per station, contiguous
 	// neighbor records, and — links being pointer-free — nothing for the
 	// garbage collector to scan or write-barrier.
-	links := c.linkArena[:0]
-	keys := c.slotArena[:0]
-	cs := c.csArena[:0]
-	bounds := make([][3]int32, n+1)
+	var links []link
+	var keys, cs []int32
+	bounds := make([][2]int32, n+1) // list starts in links (= keys) and cs
 	for i, st := range c.order {
-		bounds[i] = [3]int32{int32(len(links)), int32(len(keys)), int32(len(cs))}
-		cand = g.Near(pos[i], cand[:0])
-		// Neighbor lists are walked in place of the old all-stations
-		// id-ordered loop, so they must be ascending by slot (== id).
-		slices.Sort(cand)
 		start := len(links)
-		for _, j := range cand {
-			if int(j) == i {
-				continue
+		bounds[i] = [2]int32{int32(start), int32(len(cs))}
+		links = c.appendLinks(links, st)
+		for k := start; k < len(links); k++ {
+			keys = append(keys, links[k].slot)
+			if links[k].inCS {
+				cs = append(cs, int32(k-start))
 			}
-			d := st.pos.Dist(c.order[j].pos)
-			if d > r {
-				continue
-			}
-			key := linkKey{st.id, c.order[j].id}
-			inCS := d <= c.cfg.CSRange
-			if inCS {
-				cs = append(cs, int32(len(links)-start))
-			}
-			links = append(links, link{
-				slot:  j,
-				inCS:  inCS,
-				inTx:  d <= c.cfg.TxRange,
-				down:  c.down[key],
-				power: c.cfg.power(d),
-				loss:  c.loss[key],
-			})
-			keys = append(keys, j)
 		}
 	}
-	bounds[n] = [3]int32{int32(len(links)), int32(len(keys)), int32(len(cs))}
-	c.linkArena, c.slotArena, c.csArena = links, keys, cs
+	bounds[n] = [2]int32{int32(len(links)), int32(len(cs))}
 	for i, st := range c.order {
 		lo, hi := bounds[i], bounds[i+1]
 		st.nbrs = links[lo[0]:hi[0]:hi[0]]
-		st.nbrSlots = keys[lo[1]:hi[1]:hi[1]]
-		st.csNbrs = cs[lo[2]:hi[2]:hi[2]]
+		st.nbrSlots = keys[lo[0]:hi[0]:hi[0]]
+		st.csNbrs = cs[lo[1]:hi[1]:hi[1]]
 		st.owned = false
 	}
-	c.scratch = cand
 	c.indexed = true
 }
 
-// BuildIndex builds the neighbor index now unless it is already current.
+// appendLinks appends to dst the neighbor records of st at its current
+// grid position: one per station the kernel finds within interference
+// range, ascending by slot, with the cached power and range predicates
+// of that distance and the link state of the loss/down maps.
+func (c *Channel) appendLinks(dst []link, st *Station) []link {
+	c.near = c.grid.Within(st.slot, c.near[:0])
+	for _, nb := range c.near {
+		key := linkKey{st.id, c.order[nb.I].id}
+		dst = append(dst, link{
+			slot:  nb.I,
+			inCS:  nb.D <= c.cfg.CSRange,
+			inTx:  nb.D <= c.cfg.TxRange,
+			down:  c.down[key],
+			power: c.cfg.power(nb.D),
+			loss:  c.loss[key],
+		})
+	}
+	return dst
+}
+
+// BuildIndex builds the neighbor index unless it is already built.
 // Wiring calls it once the topology is complete, so setup — not the
-// first transmission or route computation — pays for the build; it is
-// idempotent, and only an AddNode made afterwards brings the lazy
-// rebuild back.
+// first transmission or route computation — pays for the build.
 func (c *Channel) BuildIndex() {
 	if !c.indexed {
 		c.buildIndex()
@@ -171,23 +152,14 @@ func (c *Channel) BuildIndex() {
 // stations InTxRange(id, b) admits, read from the neighbor index in
 // O(degree) instead of tested pair by pair. It walks the carrier-sense
 // subsequence, which is ascending by slot (= id) and holds every decode
-// neighbor whenever TxRange <= CSRange; the cached inTx flags are the
-// same Dist <= TxRange comparison InTxRange makes, patched by every
-// MoveNode, so the result is exactly the all-pairs filter. A decode range
-// beyond carrier-sense range falls back to that filter. An unknown id
-// appends nothing.
+// neighbor because NewChannel rejects TxRange > CSRange; the cached inTx
+// flags are the same Dist <= TxRange comparison InTxRange makes, patched
+// by every MoveNode, so the result is exactly the all-pairs filter. An
+// unknown id appends nothing.
 func (c *Channel) DecodeNeighbors(id pkt.NodeID, buf []pkt.NodeID) []pkt.NodeID {
 	c.BuildIndex()
 	st := c.station(id)
 	if st == nil {
-		return buf
-	}
-	if c.cfg.TxRange > c.cfg.CSRange {
-		for _, o := range c.order {
-			if o != st && st.pos.Dist(o.pos) <= c.cfg.TxRange {
-				buf = append(buf, o.id)
-			}
-		}
 		return buf
 	}
 	for _, k := range st.csNbrs {
@@ -221,9 +193,8 @@ func (s *Station) neighbor(slot int32) *link {
 }
 
 // cachedLink returns the mutable record of the directed link a->b, or
-// nil when the index is not built or the pair is beyond interference
-// range (in which case no cached state exists to patch — the rebuild
-// folds the maps back in).
+// nil when the index is not built (the build folds the maps in) or the
+// pair is beyond interference range (no cached state exists to patch).
 func (c *Channel) cachedLink(a, b pkt.NodeID) *link {
 	if !c.indexed {
 		return nil

@@ -102,7 +102,7 @@ func TestInterferenceRangeCoversCorruption(t *testing.T) {
 // TestIndexPatchOnLinkMutation checks the invalidation hooks: SetLinkLoss
 // and SetLinkDown applied after the index is built must patch the cached
 // record in place (the hot path reads only the record), and the maps stay
-// authoritative for rebuilds.
+// authoritative for the build.
 func TestIndexPatchOnLinkMutation(t *testing.T) {
 	ch := newIndexedChannel(t, chainPositions(6))
 	st := ch.station(0)
@@ -130,43 +130,50 @@ func TestIndexPatchOnLinkMutation(t *testing.T) {
 		t.Errorf("map loss %v, want 0.5", got)
 	}
 
-	// A rebuild (here: forced by a new station) folds the maps back in.
-	ch.SetLinkLoss(0, 2, 0.75)
-	ch.AddNode(pkt.NodeID(9), Position{X: 900}, nil)
-	if ch.indexed {
-		t.Fatal("AddNode did not invalidate the index")
+	// State set before the one build is folded into the records.
+	eng := sim.NewEngine(1)
+	ch = NewChannel(eng, DefaultConfig())
+	for i, p := range chainPositions(6) {
+		ch.AddNode(pkt.NodeID(i), p, nil)
 	}
-	ch.buildIndex()
-	if lk := ch.station(0).neighbor(2); lk == nil || lk.loss != 0.75 {
-		t.Errorf("rebuild lost the configured loss: %+v", lk)
+	ch.SetLinkLoss(0, 2, 0.75)
+	ch.SetLinkDown(2, 0, true)
+	if ch.indexed {
+		t.Fatal("link mutations built the index")
+	}
+	ch.BuildIndex()
+	if lk := ch.station(0).neighbor(2); lk == nil || lk.loss != 0.75 || lk.down {
+		t.Errorf("build lost the configured loss: %+v", lk)
+	}
+	if lk := ch.station(2).neighbor(0); lk == nil || !lk.down || lk.loss != 0 {
+		t.Errorf("build lost the severed link: %+v", lk)
 	}
 }
 
-// TestIndexRebuildMigratesEventState pins the slot-state migration: state
-// accumulated under one slot assignment (here: an in-flight transmission
-// raising carrier sense) must survive a rebuild that renumbers slots.
-func TestIndexRebuildMigratesEventState(t *testing.T) {
-	eng := sim.NewEngine(1)
-	ch := NewChannel(eng, DefaultConfig())
-	for i, p := range chainPositions(3) {
-		ch.AddNode(pkt.NodeID(i+10), p, nil)
-	}
-	f := ch.Pool().Frame()
-	f.Type, f.TxSrc, f.TxDst = pkt.FrameData, 10, 11
-	ch.Transmit(10, f)
-	if !ch.Busy(11) {
-		t.Fatal("neighbor not busy during flight")
-	}
-	// Register a smaller id mid-flight: every existing slot shifts up.
-	ch.AddNode(pkt.NodeID(1), Position{X: -5000}, nil)
-	if !ch.Busy(11) || ch.Busy(1) {
-		t.Error("carrier-sense state lost across slot renumbering")
-	}
-	for eng.RunStep() {
-	}
-	if ch.Busy(11) {
-		t.Error("carrier sense stuck after flight completion")
-	}
+// TestAddNodeAfterBuildPanics pins the index lifecycle: stations join
+// only before the one build, so a station added afterwards panics instead
+// of renumbering the slots of live event state.
+func TestAddNodeAfterBuildPanics(t *testing.T) {
+	ch := newIndexedChannel(t, chainPositions(3))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AddNode after the index build must panic")
+		}
+	}()
+	ch.AddNode(pkt.NodeID(9), Position{X: -5000}, nil)
+}
+
+// TestTxBeyondCSRangePanics pins the config check: a decode range beyond
+// carrier-sense range would admit links no receiver ever locks onto.
+func TestTxBeyondCSRangePanics(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TxRange = cfg.CSRange + 1
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewChannel with TxRange > CSRange must panic")
+		}
+	}()
+	NewChannel(sim.NewEngine(1), cfg)
 }
 
 // TestSpatialGridNearSuperset checks the grid's contract: Near must

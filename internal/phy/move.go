@@ -1,11 +1,12 @@
 // Incremental neighbor-index maintenance for moving stations.
 //
-// MoveNode relocates one station without rebuilding the index: it
-// re-buckets the station in the retained spatial grid, recomputes the
-// station's own neighbor list from a grid query, and patches the
-// reverse direction at exactly the neighbors whose interference-radius
-// membership or cached geometry changed — O(degree·log degree) per move
-// against the O(N·degree) full rebuild.
+// MoveNode relocates one station by patching the built index (it builds
+// it first on a bare channel): it re-buckets the station in the spatial
+// grid, recomputes the station's own neighbor list with the same kernel
+// and record helper the build uses (appendLinks), and patches the reverse
+// direction at exactly the neighbors whose interference-radius membership
+// or cached geometry changed — O(degree·log degree) per move against the
+// O(N·degree) full build.
 //
 // Storage discipline: buildIndex packs every list into shared arenas, so
 // a list can never grow or shrink in place without trampling the next
@@ -61,61 +62,17 @@ func (c *Channel) MoveNode(id pkt.NodeID, pos Position) bool {
 	if st == nil {
 		panic(fmt.Sprintf("phy: MoveNode for unknown node %v", id))
 	}
-	if !c.indexed {
-		// Nothing is cached yet: adopt the position and let the first
-		// transmission build the index from it. Report a (conservative)
-		// membership change only if decode-range adjacency differs.
-		changed := false
-		for _, o := range c.order {
-			if o == st {
-				continue
-			}
-			wasIn := o.pos.Dist(st.pos) <= c.cfg.TxRange
-			isIn := o.pos.Dist(pos) <= c.cfg.TxRange
-			if wasIn != isIn {
-				changed = true
-				break
-			}
-		}
-		st.pos = pos
-		return changed
-	}
+	c.BuildIndex()
 	if c.busyTx[st.slot] {
 		panic(fmt.Sprintf("phy: MoveNode of node %v while transmitting", id))
 	}
-	old := st.pos
-	if pos == old {
+	if pos == st.pos {
 		return false
 	}
 	st.pos = pos
-	c.grid.Move(st.slot, old, pos)
-
-	// Recompute the mover's own neighbor list from the grid at the new
-	// position, into the reusable staging buffer, ascending by slot.
-	r := c.cfg.interferenceRange()
-	cand := c.grid.Near(pos, c.scratch[:0])
-	slices.Sort(cand)
-	newL := c.moveBuf[:0]
-	for _, j := range cand {
-		if j == st.slot {
-			continue
-		}
-		o := c.order[j]
-		d := pos.Dist(o.pos)
-		if d > r {
-			continue
-		}
-		key := linkKey{st.id, o.id}
-		newL = append(newL, link{
-			slot:  j,
-			inCS:  d <= c.cfg.CSRange,
-			inTx:  d <= c.cfg.TxRange,
-			down:  c.down[key],
-			power: c.cfg.power(d),
-			loss:  c.loss[key],
-		})
-	}
-	c.scratch, c.moveBuf = cand, newL
+	c.grid.Move(st.slot, pos)
+	newL := c.appendLinks(c.moveBuf[:0], st)
+	c.moveBuf = newL
 
 	// Merge-diff the old and new lists (both ascending by slot) and patch
 	// the reverse direction at each affected neighbor. Range predicates
@@ -216,12 +173,15 @@ func (c *Channel) moveFlightState(st *Station) {
 // ensureOwned detaches the station's neighbor storage from the shared
 // build arenas into station-owned slices with room for at least capHint
 // links (plus amortized headroom), so incremental moves can resize the
-// lists without corrupting the neighbors packed after them. A no-op once
-// the station is detached with sufficient capacity.
+// lists without corrupting the neighbors packed after them. The copy
+// always has room for the current lists too, which a shrinking move's
+// capHint may undercut. A no-op once the station is detached with
+// sufficient capacity.
 func (s *Station) ensureOwned(capHint int) {
 	if s.owned && cap(s.nbrs) >= capHint && cap(s.csNbrs) >= capHint {
 		return
 	}
+	capHint = max(capHint, len(s.nbrs))
 	cp := capHint + capHint/2 + 8
 	nbrs := make([]link, len(s.nbrs), cp)
 	copy(nbrs, s.nbrs)
@@ -333,10 +293,10 @@ func (c *Channel) VerifyIndex() error {
 		if !slices.Equal(cs, st.csNbrs) {
 			return fmt.Errorf("station %v: csNbrs %v, want %v", st.id, st.csNbrs, cs)
 		}
-		// The grid must still find the station from its own position.
-		found := slices.Contains(c.grid.Near(st.pos, nil), st.slot)
-		if !found {
-			return fmt.Errorf("station %v: not reachable in its grid neighborhood", st.id)
+		// The grid must hold the station's position and still find it
+		// from there.
+		if c.grid.pos[si] != st.pos || !slices.Contains(c.grid.Near(st.pos, nil), st.slot) {
+			return fmt.Errorf("station %v: not reachable at its position in the grid", st.id)
 		}
 	}
 	return nil

@@ -71,9 +71,9 @@ func TestMoveNodeIncrementalMatchesRebuild(t *testing.T) {
 	}
 }
 
-// TestMoveNodeBeforeIndexBuilds exercises the pre-index path: moves
-// before the first transmission just adopt positions, and the eventual
-// build sees the final geometry.
+// TestMoveNodeBeforeIndexBuilds moves stations on a bare channel: the
+// first move builds the index, decode-range membership changes are
+// reported exactly, and the first transmission sees the final geometry.
 func TestMoveNodeBeforeIndexBuilds(t *testing.T) {
 	eng, ch, radios := setup(t, Position{}, Position{X: 200}, Position{X: 1500})
 	if !ch.MoveNode(2, Position{X: 400}) {
@@ -89,6 +89,24 @@ func TestMoveNodeBeforeIndexBuilds(t *testing.T) {
 	}
 	if len(radios[2].received) != 1 {
 		t.Fatalf("moved node should decode the frame, got %d", len(radios[2].received))
+	}
+}
+
+// TestMoveNodeFirstMoveToIsolation moves a station with a long neighbor
+// list far away on its first move, so its new list is much shorter than
+// the arena-packed one it replaces: detaching must still copy the old
+// lists in full.
+func TestMoveNodeFirstMoveToIsolation(t *testing.T) {
+	ch := newIndexedChannel(t, diskPositions(60, 3))
+	if n := len(ch.station(8).nbrs); n < 20 {
+		t.Fatalf("N8 has only %d neighbors; the test needs a long list", n)
+	}
+	ch.MoveNode(8, Position{X: 1e6, Y: 1e6})
+	if err := ch.VerifyIndex(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(ch.station(8).nbrs); n != 0 {
+		t.Fatalf("isolated N8 lists %d neighbors", n)
 	}
 }
 

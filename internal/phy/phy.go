@@ -134,8 +134,8 @@ type Station struct {
 	// owned marks the three lists as station-private storage rather than
 	// arena sub-slices: MoveNode detaches a station (copy-on-write) the
 	// first time its list has to grow or shrink, so incremental resizes
-	// can never bleed into the neighbor packed after it in the arena. A
-	// full rebuild re-points everything at the arenas and clears it.
+	// can never bleed into the neighbor packed after it in the arena.
+	// buildIndex points the lists at its arenas and clears it.
 	owned bool
 }
 
@@ -164,20 +164,16 @@ type Channel struct {
 	// resolves stations by slot instead of hashing a map.
 	idx   pkt.NodeIndex
 	order []*Station
-	// indexed marks the neighbor lists as built; AddNode clears it and
-	// the next transmission rebuilds (see index.go).
+	// indexed marks the neighbor lists as built (see index.go); after
+	// that, AddNode panics and only patches change the index.
 	indexed bool
-	scratch []int32 // candidate buffer reused across index builds
-	// grid is the spatial hash the last buildIndex bucketed the stations
-	// into, kept alive so MoveNode can re-bucket a moving station without
-	// rebuilding; moveBuf is MoveNode's reusable new-list staging buffer.
+	// grid is the spatial hash buildIndex bucketed the stations into,
+	// kept so MoveNode can re-bucket a moving station; near is the
+	// kernel's reusable result buffer and moveBuf MoveNode's reusable
+	// new-list staging buffer.
 	grid    *SpatialGrid
+	near    []Neighbor
 	moveBuf []link
-	// Arenas backing every station's neighbor lists (sub-sliced by
-	// buildIndex); pointer-free, so invisible to the garbage collector.
-	linkArena []link
-	slotArena []int32
-	csArena   []int32
 	// Dense per-slot event state: the number of in-flight transmissions
 	// each station senses, whether it is itself transmitting, and the
 	// reception it is locked onto (rx[slot].tx == nil when idle). For
@@ -241,8 +237,13 @@ func (c *Channel) SetCounters(k Counters) { c.obs = k }
 
 type linkKey struct{ a, b pkt.NodeID }
 
-// NewChannel creates an empty channel over the given engine.
+// NewChannel creates an empty channel over the given engine. A decode
+// range beyond the carrier-sense range panics: a receiver locks only onto
+// frames it senses, so such a link could never deliver a frame.
 func NewChannel(eng *sim.Engine, cfg Config) *Channel {
+	if cfg.TxRange > cfg.CSRange {
+		panic(fmt.Sprintf("phy: TxRange %g exceeds CSRange %g", cfg.TxRange, cfg.CSRange))
+	}
 	return &Channel{
 		cfg:  cfg,
 		eng:  eng,
@@ -274,10 +275,13 @@ func (c *Channel) getTx() *transmission {
 }
 
 // AddNode registers a station at pos with its MAC-layer radio and returns
-// its handle for TransmitFrom. Adding the same id twice panics:
-// topologies are static for the lifetime of a run. Registering a station
-// invalidates the neighbor index; the next transmission rebuilds it.
+// its handle for TransmitFrom. Stations join while a topology is built:
+// adding the same id twice, or adding any station once the neighbor index
+// is built, panics.
 func (c *Channel) AddNode(id pkt.NodeID, pos Position, r Radio) *Station {
+	if c.indexed {
+		panic(fmt.Sprintf("phy: AddNode %v after the neighbor index was built", id))
+	}
 	at, ok := c.idx.Add(id)
 	if !ok {
 		panic(fmt.Sprintf("phy: duplicate node %v", id))
@@ -286,7 +290,6 @@ func (c *Channel) AddNode(id pkt.NodeID, pos Position, r Radio) *Station {
 	c.order = append(c.order, nil)
 	copy(c.order[at+1:], c.order[at:])
 	c.order[at] = st
-	c.indexed = false
 	return st
 }
 
@@ -388,9 +391,7 @@ func (c *Channel) Transmit(src pkt.NodeID, f *pkt.Frame) sim.Time {
 // list (every station beyond interference range is provably unaffected)
 // and does no distance/path-loss math and no map lookups per event.
 func (c *Channel) TransmitFrom(sn *Station, f *pkt.Frame) sim.Time {
-	if !c.indexed {
-		c.buildIndex()
-	}
+	c.BuildIndex()
 	if c.busyTx[sn.slot] {
 		panic(fmt.Sprintf("phy: node %v already transmitting", sn.id))
 	}

@@ -1,8 +1,6 @@
 package routing
 
 import (
-	"slices"
-
 	"ezflow/internal/phy"
 	"ezflow/internal/pkt"
 )
@@ -65,33 +63,21 @@ func (BFS) Route(g *Graph, _ pkt.FlowID, src, dst pkt.NodeID) ([]pkt.NodeID, boo
 // parent[i] is i's predecessor toward the gateway, or -1 if unreachable.
 // Topology builders use it both as a connectivity check and to draw
 // initial gateway-bound routes (following the parent chain from a node
-// yields its minimum-hop path to the gateway).
-//
-// Candidates come from the same spatial hash the PHY neighbor index is
-// built with, so a connectivity pass is O(N·degree) instead of O(N²);
-// sorting each cell-neighborhood batch keeps the visit order — and with
-// it the resulting tree — identical to the all-pairs scan.
+// yields its minimum-hop path to the gateway). The neighbor lists come
+// from phy's neighbor kernel, so a pass is O(N·degree) instead of O(N²).
 func GatewayTree(pos []phy.Position, txRange float64) []int {
-	n := len(pos)
-	parent := make([]int, n)
+	nbrs := phy.RangeNeighbors(pos, txRange)
+	parent := make([]int, len(pos))
 	for i := range parent {
 		parent[i] = -1
 	}
 	parent[0] = 0
-	g := phy.NewSpatialGrid(pos, txRange)
-	queue := make([]int, 0, n)
-	queue = append(queue, 0)
-	var cand []int32
-	for len(queue) > 0 {
+	for queue := []int{0}; len(queue) > 0; queue = queue[1:] {
 		u := queue[0]
-		queue = queue[1:]
-		cand = g.Near(pos[u], cand[:0])
-		slices.Sort(cand)
-		for _, v32 := range cand {
-			v := int(v32)
-			if parent[v] < 0 && pos[u].Dist(pos[v]) <= txRange {
+		for _, v := range nbrs[u] {
+			if parent[v] < 0 {
 				parent[v] = u
-				queue = append(queue, v)
+				queue = append(queue, int(v))
 			}
 		}
 	}
